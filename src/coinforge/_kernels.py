@@ -1,81 +1,87 @@
-"""Hot counting kernels for exhaustive combinatorial verification.
+"""Hot counting kernel for exhaustive combinatorial verification.
 
-Both verifiers reduce to one primitive: given a 0/1 membership matrix M
-(rows = committees or receiver adjacency rows, columns = parties) and a batch
-of candidate fault sets B (as column-index arrays), count for each B how many
-rows have at least `threshold` members inside B.
+Both verifiers reduce to one primitive: given row masks (committees or
+receiver adjacency rows) and a batch of candidate fault-set masks B over the
+same universe, count for each B how many rows have at least `threshold`
+members inside B.
 
-Two interchangeable backends produce identical integer results:
-  * numba @njit loops (default when numba imports cleanly),
-  * pure numpy fancy-indexing (fallback; forced with COINFORGE_NO_NUMBA=1).
+Sets are uint64 bitsets over positions 0..width-1 of their universe, one row
+of `words = ceil(width/64)` words per set (bit p lives in word p // 64).
+Intersection sizes are popcounts of ANDed words (`np.bitwise_count`,
+numpy >= 2.0).
+
+`suffix_table(width, k)` lists every k-subset of range(width) as masks in
+lexicographic order (Knuth, TAOCP vol. 4A, §7.2.1.3). The subsets whose
+minimum is at least j form a suffix of that order, which is what lets the
+verifiers build every fault set as a cached tail slice ORed with a prefix.
 """
 
 from __future__ import annotations
 
-import os
+import functools
+import math
 
 import numpy as np
 
-_FORCED_OFF = os.environ.get("COINFORGE_NO_NUMBA", "") not in ("", "0")
 
-if not _FORCED_OFF:
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        _HAVE_NUMBA = False
-else:
-    _HAVE_NUMBA = False
+def words_for(width: int) -> int:
+    """uint64 words per mask over a universe of `width` positions."""
+    return max(1, -(-width // 64))
 
 
-def _rows_meeting_threshold_numpy(member: np.ndarray, b_sets: np.ndarray, threshold: float) -> np.ndarray:
-    # member: (rows, n) uint8; b_sets: (m, b) int64 column indices
-    # inter[r, j] = |row_r  ∩ B_j|
-    if b_sets.shape[1] == 0:
-        return np.zeros(b_sets.shape[0], dtype=np.int64)
-    inter = member[:, b_sets].sum(axis=2, dtype=np.int64)  # (rows, m)
-    return (inter >= threshold).sum(axis=0, dtype=np.int64)
+def set_words(positions, words: int) -> list[int]:
+    """The mask of a set of positions as `words` uint64 values, low word first."""
+    bits = 0
+    for p in positions:
+        bits |= 1 << p
+    return [(bits >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)]
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=False)
-    def _rows_meeting_threshold_numba(member, b_sets, threshold):  # pragma: no cover - jitted
-        m = b_sets.shape[0]
-        rows = member.shape[0]
-        width = b_sets.shape[1]
-        out = np.zeros(m, dtype=np.int64)
-        for j in range(m):
-            hit = 0
-            for r in range(rows):
-                acc = 0
-                for x in range(width):
-                    acc += member[r, b_sets[j, x]]
-                if acc >= threshold:
-                    hit += 1
-            out[j] = hit
-        return out
+def membership_matrix(rows, width: int) -> np.ndarray:
+    """(len(rows), words) uint64 masks from per-row position lists in [0, width)."""
+    words = words_for(width)
+    return np.array([set_words(ids, words) for ids in rows], dtype=np.uint64).reshape(len(rows), words)
 
 
-def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
+def mask_positions(mask: np.ndarray) -> tuple[int, ...]:
+    """Sorted positions of the set bits of one (words,) mask."""
+    bits = sum(int(word) << (64 * w) for w, word in enumerate(mask))
+    return tuple(p for p in range(bits.bit_length()) if bits >> p & 1)
+
+
+@functools.lru_cache(maxsize=64)
+def suffix_table(width: int, k: int) -> np.ndarray:
+    """All k-subsets of range(width) as (C(width, k), words) masks, in lex order.
+
+    Built from the (k-1)-table: the subsets with minimum f are bit f ORed onto
+    the tail of the (k-1)-table whose minimum exceeds f. Read-only, cached.
+    """
+    if k == 0:
+        table = np.zeros((1, words_for(width)), dtype=np.uint64)
+    else:
+        sub = suffix_table(width, k - 1)
+        parts = []
+        for f in range(width - k + 1):
+            part = sub[len(sub) - math.comb(width - f - 1, k - 1):].copy()
+            part[:, f >> 6] |= np.uint64(1 << (f & 63))
+            parts.append(part)
+        table = np.concatenate(parts)
+    table.flags.writeable = False
+    return table
 
 
 def rows_meeting_threshold(member: np.ndarray, b_sets: np.ndarray, threshold: float) -> np.ndarray:
-    """For each candidate set B, the number of rows with >= threshold hits in B."""
-    member = np.ascontiguousarray(member, dtype=np.uint8)
-    b_sets = np.ascontiguousarray(b_sets, dtype=np.int64)
-    if b_sets.ndim != 2:
-        raise ValueError("b_sets must be 2-dimensional")
-    if _HAVE_NUMBA:
-        return _rows_meeting_threshold_numba(member, b_sets, float(threshold))
-    return _rows_meeting_threshold_numpy(member, b_sets, float(threshold))
+    """For each candidate mask B, the number of row masks with >= threshold bits in B.
 
-
-def membership_matrix(rows: list[tuple[int, ...]], n: int) -> np.ndarray:
-    """Dense 0/1 matrix from per-row member id lists."""
-    out = np.zeros((len(rows), n), dtype=np.uint8)
-    for i, ids in enumerate(rows):
-        out[i, list(ids)] = 1
+    member: (rows, words) uint64; b_sets: (m, words) uint64 over the same universe.
+    """
+    words = b_sets.shape[1]
+    out = np.zeros(len(b_sets), dtype=np.int32)  # a count never exceeds the row count
+    for row in member:
+        inter = np.bitwise_count(b_sets[:, 0] & row[0])
+        if words > 1:
+            inter = inter.astype(np.int64)  # a uint8 popcount sum could wrap past 255
+            for w in range(1, words):
+                inter += np.bitwise_count(b_sets[:, w] & row[w])
+        out += inter >= threshold
     return out

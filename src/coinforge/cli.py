@@ -6,7 +6,8 @@ leader. Each writes machine-readable JSON to --out (embedding the config
 digest, seed and code version) and a human summary to stdout.
 
 Exit codes: 0 success, 2 protocol-property failure, 3 configuration error
-(including a committee point that the counting certificate proves infeasible).
+(including a committee or publish-graph point that a counting certificate
+proves infeasible).
 """
 
 from __future__ import annotations
@@ -24,17 +25,18 @@ from .config import (
     load_layout_file,
     parse_strategy_spec,
 )
-from .combinatorics import GenerationError, InfeasibleLayoutError, VerificationBudgetError
+from .combinatorics import (
+    GenerationError,
+    InfeasibleGraphError,
+    InfeasibleLayoutError,
+    VerificationBudgetError,
+)
 from .params import ParamError, Poly, derive_params, preset_cost, transform_cost
 from .simnet import StrategyViolation, dump_event_log, mix64, run_simulation
 
 EXIT_OK = 0
 EXIT_PROPERTY = 2
 EXIT_CONFIG = 3
-
-
-class PropertyFailure(Exception):
-    pass
 
 
 def _write_out(path, payload):
@@ -403,11 +405,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParamError, VerificationBudgetError, InfeasibleLayoutError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ParamError, VerificationBudgetError, InfeasibleLayoutError, InfeasibleGraphError,
+            FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GenerationError, StrategyViolation, PropertyFailure) as exc:
+    except (GenerationError, StrategyViolation) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_PROPERTY
 

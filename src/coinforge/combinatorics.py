@@ -21,6 +21,9 @@ suffices by monotonicity), "sampled" draws uniform sets plus one greedy
 adversarial set (parties ranked by membership count — a heuristic, never a
 proof), "none" skips. Exhaustive enumeration is budgeted by (B, row)
 membership checks; past the budget the caller is told to use sampled mode.
+Rows and fault sets are uint64 bitsets (`_kernels`); fault sets are built in
+lex order as a prefix ORed onto a tail of a cached suffix table, in chunks of
+at most _TABLE masks.
 
 Before sampling committees, a counting certificate rules out points where no
 layout can exist. Each s-subset is overloaded by exactly N maximal fault sets
@@ -30,6 +33,9 @@ overloads c or more committees whatever the layout (pigeonhole), and
 `gen_committees` raises `InfeasibleLayoutError` without drawing anything. The
 certificate is sufficient, not necessary: a point it lets through may still
 have no valid layout, and the sampler then runs out of resamples as before.
+Publish graphs get the same certificate with receiver rows of Delta
+neighbours in place of committees (`check_graph_feasibility`,
+`InfeasibleGraphError`).
 """
 
 from __future__ import annotations
@@ -38,17 +44,19 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import membership_matrix, rows_meeting_threshold
+from ._kernels import mask_positions, membership_matrix, rows_meeting_threshold, set_words, suffix_table
 from .params import ParamError
 
 DEFAULT_CHECK_BUDGET = 10_000_000
 DEFAULT_SAMPLE_TRIALS = 200
 DEFAULT_MAX_ATTEMPTS = 1000
-_CHUNK = 8192
+_CHUNK = 8192  # block size of the `checks` count on a failed scan
+_TABLE = 1 << 16  # most masks in one suffix table or one chunk
 
 
 class VerificationBudgetError(ParamError):
@@ -72,6 +80,22 @@ class InfeasibleLayoutError(GenerationError):
             f"overloaded by {per_committee} of the C({n},{b}) fault sets, and "
             f"q*{per_committee} = {self.total} > (c-1)*C({n},{b}) = {self.limit}, so some "
             f"fault set overloads c committees in every layout (refused before any resamples)"
+        )
+
+
+class InfeasibleGraphError(GenerationError):
+    """Counting certificate (total = n*per_receiver > limit) that no publish graph meets the cap."""
+
+    def __init__(self, s: int, n: int, delta: int, b: int, d: int, per_receiver: int):
+        self.s, self.n, self.delta, self.b, self.d = s, n, delta, b, d
+        self.per_receiver = per_receiver
+        self.total = n * per_receiver
+        self.limit = (d - 1) * math.comb(s, b)
+        super().__init__(
+            f"no publish graph exists at s={s} n={n} delta_cap={delta} d={d}: each receiver is "
+            f"deafened by {per_receiver} of the C({s},{b}) fault sets, and "
+            f"n*{per_receiver} = {self.total} > (d-1)*C({s},{b}) = {self.limit}, so some "
+            f"fault set deafens d receivers in every graph (refused before any resamples)"
         )
 
 
@@ -131,56 +155,97 @@ def _verified_tag(mode: str, trials: int) -> str:
     return "unverified"
 
 
-def _iter_b_chunks(n_items: int, size: int, universe: list[int] | None = None):
-    """Yield (m, size) index arrays over all size-subsets, in lex order."""
-    base = range(n_items) if universe is None else universe
-    combos = itertools.combinations(base, size)
-    while True:
-        chunk = list(itertools.islice(combos, _CHUNK))
-        if not chunk:
-            return
-        yield np.array(chunk, dtype=np.int64)
+def _fault_set_chunks(width: int, size: int):
+    """Yield (rank of first, masks) chunks covering every size-subset of range(width) in lex order.
+
+    Each subset is a prefix (itertools, lex order) ORed onto a tail of the
+    cached suffix table of k-subsets: the suffixes that extend a prefix ending
+    at a are exactly the table rows with minimum > a, a tail slice. k is the
+    largest size whose table, and every smaller one, holds at most _TABLE
+    masks. Chunks are views of one buffer of at most _TABLE masks, which the
+    next chunk overwrites, so memory stays bounded.
+    """
+    k = 0
+    while k < size and math.comb(width, k + 1) <= _TABLE:
+        k += 1
+    table = suffix_table(width, k)
+    words = table.shape[1]
+    buf = np.empty((min(_TABLE, math.comb(width, size)), words), dtype=np.uint64)
+    rank = fill = 0
+    for prefix in itertools.combinations(range(width - k), size - k):
+        tail = table[len(table) - math.comb(width - prefix[-1] - 1, k):] if prefix else table
+        if fill + len(tail) > len(buf):
+            yield rank, buf[:fill]
+            rank, fill = rank + fill, 0
+        np.bitwise_or(tail, np.array(set_words(prefix, words), dtype=np.uint64),
+                      out=buf[fill:fill + len(tail)])
+        fill += len(tail)
+    if fill:
+        yield rank, buf[:fill]
 
 
-def _scan(member: np.ndarray, size: int, threshold: float, cap: int, universe: list[int] | None = None):
-    """First B (lex order) whose row count >= cap, else None. Returns (witness, checks)."""
-    checks = 0
+def _local_rows(rows, universe):
+    """Rows of universe ids as lists of positions in `universe`; other ids never meet a B."""
+    position = {p: i for i, p in enumerate(universe)}
+    return [[position[p] for p in row if p in position] for row in rows]
+
+
+def _scan(rows, universe, size: int, threshold: float, cap: int):
+    """First size-subset B of the sorted `universe` (lex order) that cap or more rows meet
+    in >= threshold members, else None.
+
+    Returns (witness, checks). `checks` keeps the count of an enumeration in
+    blocks of _CHUNK fault sets: C(len(universe), size) * rows on a pass, and
+    rows * min(C(len(universe), size), (rank // _CHUNK + 1) * _CHUNK) when
+    the witness has lex rank `rank`.
+    """
     if size == 0:
         return None, 0
-    for chunk in _iter_b_chunks(member.shape[1], size, universe):
+    total = math.comb(len(universe), size)
+    member = membership_matrix(_local_rows(rows, universe), len(universe))
+    for rank, chunk in _fault_set_chunks(len(universe), size):
         counts = rows_meeting_threshold(member, chunk, threshold)
-        checks += chunk.shape[0] * member.shape[0]
-        bad = np.nonzero(counts >= cap)[0]
+        bad = np.flatnonzero(counts >= cap)
         if bad.size:
-            return tuple(int(x) for x in chunk[bad[0]]), checks
-    return None, checks
+            rank += int(bad[0])
+            witness = tuple(universe[p] for p in mask_positions(chunk[bad[0]]))
+            return witness, len(rows) * min(total, (rank // _CHUNK + 1) * _CHUNK)
+    return None, len(rows) * total
 
 
-def _sampled_scan(member, size, threshold, cap, rng, trials, universe=None):
-    """Uniform B draws plus one greedy adversarial B (highest-membership parties)."""
-    pool = list(range(member.shape[1])) if universe is None else list(universe)
-    candidates = []
-    if size:
-        load = member.sum(axis=0)
-        ranked = sorted(pool, key=lambda p: (-int(load[p]), p))
-        candidates.append(tuple(sorted(ranked[:size])))
-        for _ in range(trials):
-            candidates.append(sample_without_replacement(rng, pool, size))
-    checks = 0
-    for cand in candidates:
-        arr = np.array([cand], dtype=np.int64)
-        counts = rows_meeting_threshold(member, arr, threshold)
-        checks += member.shape[0]
-        if counts[0] >= cap:
-            return cand, checks
-    return None, checks
+def _sampled_scan(rows, universe, size, threshold, cap, rng, trials):
+    """Uniform B draws plus one greedy adversarial B (highest-membership parties).
+
+    rows and the returned witness are in universe ids; the candidates are
+    checked in order, one kernel call for all of them, and `checks` counts
+    rows per candidate up to and including the first violating one.
+    """
+    if not size:
+        return None, 0
+    load = Counter(p for row in rows for p in row)
+    ranked = sorted(universe, key=lambda p: (-load[p], p))
+    pool = list(universe)
+    candidates = [tuple(sorted(ranked[:size]))]
+    for _ in range(trials):
+        candidates.append(sample_without_replacement(rng, pool, size))
+    member = membership_matrix(_local_rows(rows, universe), len(universe))
+    masks = membership_matrix(_local_rows(candidates, universe), len(universe))
+    bad = np.flatnonzero(rows_meeting_threshold(member, masks, threshold) >= cap)
+    if bad.size:
+        return candidates[bad[0]], (int(bad[0]) + 1) * len(rows)
+    return None, len(candidates) * len(rows)
 
 
 # --- committees ------------------------------------------------------------
 
 
 def committee_fault_size(n: int, alpha: float, epsilon: float) -> int:
-    return math.floor((alpha - epsilon) * n)
+    """floor((alpha - epsilon) * n); a negative size (epsilon > alpha) is a ParamError."""
+    b = math.floor((alpha - epsilon) * n)
+    if b < 0:
+        raise ParamError(f"fault size floor((alpha-epsilon)*n) = {b} is negative: "
+                         f"epsilon={epsilon} exceeds alpha={alpha}")
+    return b
 
 
 def overloading_fault_sets(n: int, s: int, b: int, alpha: float) -> int:
@@ -198,10 +263,11 @@ def check_committee_feasibility(n: int, q: int, s: int, alpha: float, epsilon: f
     """Raise InfeasibleLayoutError if q*N > (c-1)*C(n, b) proves no layout exists.
 
     Sufficient, not necessary: passing this check does not promise a layout.
-    Empty fault sets (b <= 0) overload nothing, as in `verify_committees`.
+    Empty fault sets (b = 0) overload nothing, as in `verify_committees`; a
+    negative b (epsilon > alpha) is a ParamError.
     """
     b = committee_fault_size(n, alpha, epsilon)
-    if b <= 0:
+    if b == 0:
         return
     per_committee = overloading_fault_sets(n, s, b, alpha)
     if q * per_committee > (c - 1) * math.comb(n, b):
@@ -235,13 +301,14 @@ def verify_committees(
         raise ParamError("c must be at least 1")
     if mode not in ("exhaustive", "sampled", "none"):
         raise ParamError(f"unknown verify mode {mode!r}")
+    b = committee_fault_size(n, alpha, epsilon)
     if mode == "none":
         return VerifyResult(True, mode, enumerated=False, note="verification skipped")
+    if any(not 0 <= p < n for row in committees for p in row):
+        raise ParamError(f"committee member ids must lie in [0, {n})")
 
     s = len(committees[0])
-    b = committee_fault_size(n, alpha, epsilon)
     threshold = alpha * s
-    member = membership_matrix(committees, n)
 
     if b == 0:
         return VerifyResult(True, mode, enumerated=False, note="fault sets are empty")
@@ -252,9 +319,10 @@ def verify_committees(
             raise VerificationBudgetError(
                 f"verification infeasible, use sampled: {total} checks exceed budget {check_budget}"
             )
-        witness, checks = _scan(member, b, threshold, c)
+        witness, checks = _scan(committees, range(n), b, threshold, c)
     else:
-        witness, checks = _sampled_scan(member, b, threshold, c, rng or random.Random(0), sample_trials)
+        witness, checks = _sampled_scan(committees, range(n), b, threshold, c,
+                                        rng or random.Random(0), sample_trials)
     if witness is not None:
         return VerifyResult(False, mode, witness=witness, checks=checks)
     return VerifyResult(True, mode, checks=checks)
@@ -293,6 +361,7 @@ def gen_committees(
         raise ParamError("s must be in [1, n]")
     if q < 1:
         raise ParamError("q must be at least 1")
+    committee_fault_size(n, alpha, epsilon)  # epsilon > alpha is a ParamError
 
     if s == n:
         full = tuple(range(n))
@@ -318,6 +387,25 @@ def gen_committees(
 
 def graph_fault_size(s: int) -> int:
     return math.ceil(s / 3) - 1
+
+
+def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> None:
+    """Raise InfeasibleGraphError if n*N > (d-1)*C(s, b) proves no publish graph exists.
+
+    The publish-graph twin of `check_committee_feasibility`: a receiver row of
+    delta_cap neighbours is deafened (>= delta_cap/2 of them in B) by exactly
+    N = overloading_fault_sets(s, delta_cap, b, 1/2) of the C(s, b) fault sets
+    B of size b = ceil(s/3)-1 (0.5*delta_cap equals the verifier's
+    delta_cap/2.0 exactly). It only runs where `verify_publish_graph` would
+    enumerate: the d > n and delta_cap >= ceil(2s/3) short-circuits pass
+    every graph, and empty fault sets deafen nobody.
+    """
+    b = graph_fault_size(s)
+    if d > n or delta_cap >= math.ceil(2 * s / 3) or b <= 0:
+        return
+    per_receiver = overloading_fault_sets(s, delta_cap, b, 0.5)
+    if n * per_receiver > (d - 1) * math.comb(s, b):
+        raise InfeasibleGraphError(s, n, delta_cap, b, d, per_receiver)
 
 
 def verify_publish_graph(
@@ -359,7 +447,6 @@ def verify_publish_graph(
     if b == 0:
         return VerifyResult(True, mode, enumerated=False, note="fault sets are empty")
 
-    member = membership_matrix(graph.adjacency, max(max(committee) + 1, n))
     threshold = delta / 2.0
     universe = sorted(committee)
 
@@ -369,9 +456,10 @@ def verify_publish_graph(
             raise VerificationBudgetError(
                 f"verification infeasible, use sampled: {total} checks exceed budget {check_budget}"
             )
-        witness, checks = _scan(member, b, threshold, d, universe=universe)
+        witness, checks = _scan(graph.adjacency, universe, b, threshold, d)
     else:
-        witness, checks = _sampled_scan(member, b, threshold, d, rng or random.Random(0), sample_trials, universe)
+        witness, checks = _sampled_scan(graph.adjacency, universe, b, threshold, d,
+                                        rng or random.Random(0), sample_trials)
     if witness is not None:
         return VerifyResult(False, mode, witness=witness, checks=checks)
     return VerifyResult(True, mode, checks=checks)
@@ -395,10 +483,18 @@ def gen_publish_graph(
     Every receiver vertex v_1..v_n independently samples delta_cap distinct
     neighbors inside the committee (members' own vertices included; their
     tallies go unused by the protocol but the edges exist and are paid for).
+
+    In "exhaustive" and "sampled" modes the counting certificate of
+    `check_graph_feasibility` runs first and refuses a point where no graph
+    can pass, before any draw; it uses no randomness.
     """
     s = len(committee)
     if not (1 <= delta_cap <= s):
         raise ParamError("delta_cap must be in [1, s]")
+    if d < 1:
+        raise ParamError("d must be at least 1")
+    if verify_mode in ("exhaustive", "sampled"):
+        check_graph_feasibility(s, n, d, delta_cap)
     rng = random.Random(seed)
     members = sorted(committee)
     for attempt in range(1, max_attempts + 1):

@@ -77,6 +77,20 @@ def test_infeasible_committee_point_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_infeasible_publish_graph_point_is_a_config_error(tmp_path, capsys):
+    layout = tmp_path / "layout.json"
+    flags = ["--n", "16", "--override-q", "1", "--override-s", "9", "--override-c", "1",
+             "--override-d", "2", "--override-delta-cap", "4", "--z", "0.3",
+             "--alpha", "0.3333", "--epsilon", "0.0833", "--seed", "3"]
+    assert run_cli("gen-committees", *flags, "--verify", "none", "--out", str(layout)) == 0
+    before = layout.read_text()
+    rc = run_cli("gen-graphs", *flags, "--layout", str(layout))
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "96 > (d-1)*C(9,2) = 36" in err
+    assert layout.read_text() == before
+
+
 def test_run_coin_and_event_log(tmp_path, capsys):
     layout = _gen_layout(tmp_path)
     out = str(tmp_path / "runs.json")

@@ -7,9 +7,12 @@ import pytest
 from coinforge.combinatorics import (
     CommitteeLayout,
     GenerationError,
+    InfeasibleGraphError,
     InfeasibleLayoutError,
+    PublishGraph,
     VerificationBudgetError,
     check_committee_feasibility,
+    check_graph_feasibility,
     dumps_layout,
     gen_committees,
     gen_publish_graph,
@@ -147,6 +150,80 @@ def test_certificate_spares_every_point_the_suite_and_benchmark_generate():
         (12, 5, 6, 3, 0.3333, 0.125),
     ]:
         assert not _certificate_fires(n, q, s, alpha, epsilon, c), (n, q, s, c)
+
+
+def test_epsilon_above_alpha_is_a_param_error():
+    # floor((0.1 - 0.3) * 8) = -2: a negative fault size is a bad point, not an itertools error
+    with pytest.raises(ParamError, match="negative"):
+        gen_committees(8, 5, 4, 0.1, 0.3, 2, seed=0)
+    with pytest.raises(ParamError, match="negative"):
+        check_committee_feasibility(8, 5, 4, 0.1, 0.3, 2)
+    for mode in ("exhaustive", "sampled", "none"):
+        with pytest.raises(ParamError, match="negative"):
+            verify_committees(((0, 1, 2, 3),), 8, 0.1, 0.3, 2, mode)
+
+
+def test_committee_ids_outside_the_universe_are_a_param_error():
+    with pytest.raises(ParamError, match="lie in"):
+        verify_committees(((0, 1, 40), (2, 3, 4)), 8, 1 / 3, 1 / 12, 2, "exhaustive")
+
+
+def _graph_certificate_fires(s, n, d, delta):
+    try:
+        check_graph_feasibility(s, n, d, delta)
+    except InfeasibleGraphError:
+        return True
+    return False
+
+
+def test_graph_certificate_counts_deafening_sets_like_the_verifier():
+    # each receiver row is deafened by exactly N of the C(s, b) fault sets
+    for s in range(3, 11):
+        b = math.ceil(s / 3) - 1
+        for delta in range(1, s + 1):
+            row = set(range(delta))
+            want = sum(1 for fault_set in itertools.combinations(range(s), b)
+                       if len(row & set(fault_set)) >= delta / 2.0)
+            assert overloading_fault_sets(s, delta, b, 0.5) == want, (s, delta)
+
+
+def test_graph_certificate_refuses_before_any_draw(monkeypatch):
+    # s=9, delta=4: b=2, each row is deafened by C(4,2)=6 of C(9,2)=36 fault sets;
+    # n=16 receivers give 96 > (d-1)*36 = 36 at d=2, and 96 <= 3*36 at d=4.
+    assert _graph_certificate_fires(9, 16, 2, 4)
+    assert not _graph_certificate_fires(9, 16, 4, 4)
+    drawn = []
+    monkeypatch.setattr("coinforge.combinatorics.sample_without_replacement",
+                        lambda *a: drawn.append(a))
+    committee = tuple(range(0, 18, 2))
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(InfeasibleGraphError, match=r"96 > \(d-1\)\*C\(9,2\) = 36") as info:
+            gen_publish_graph(committee, 16, 2, 4, seed=0, verify_mode=mode)
+        err = info.value
+        assert (err.s, err.n, err.delta, err.b, err.d) == (9, 16, 4, 2, 2)
+        assert (err.per_receiver, err.total, err.limit) == (6, 96, 36)
+        assert isinstance(err, GenerationError)
+    assert drawn == []
+
+
+def test_graph_certificate_only_where_the_verifier_enumerates():
+    committee = tuple(range(9))
+    assert not _graph_certificate_fires(9, 16, 17, 4)  # d > n short-circuit
+    assert not _graph_certificate_fires(9, 16, 2, 6)   # delta = ceil(2s/3) short-circuit
+    assert not _graph_certificate_fires(2, 16, 2, 1)   # b = 0
+    g = gen_publish_graph(committee, 16, 2, 4, seed=0, verify_mode="none")
+    assert g.verified == "unverified"
+    # at an infeasible point every sampled graph does fail exhaustive verification
+    for seed in range(3):
+        rng = random.Random(seed)
+        adjacency = tuple(sample_without_replacement(rng, list(committee), 4) for _ in range(16))
+        assert not verify_publish_graph(PublishGraph(0, adjacency, "x", 0), committee, 2).passed
+
+
+def test_graph_certificate_spares_the_benchmark_point():
+    # s=16, delta=9, b=5: N = C(9,5) = 126 and 32*126 = 4032 <= (6-1)*C(16,5) = 21840
+    assert overloading_fault_sets(16, 9, 5, 0.5) == 126
+    assert not _graph_certificate_fires(16, 32, 6, 9)
 
 
 def test_exhaustive_budget_rejection():
