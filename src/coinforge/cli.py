@@ -13,6 +13,7 @@ proves infeasible).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -155,13 +156,14 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
-def _run_trials(cfg: ExperimentConfig, protocol_factory, check=None):
+def _run_trials(cfg: ExperimentConfig, protocol_factory, check=None, log=None):
+    """Run cfg.trials trials; a `log` list receives trial 0's event log."""
     reports = []
     failures = 0
     for i in range(cfg.trials):
         rep = run_simulation(
             protocol_factory(), build_strategy(cfg.strategy), mix64(cfg.seed, 1000 + i),
-            mode=cfg.mode, t_budget=cfg.t, record_log=cfg.record_log)
+            mode=cfg.mode, t_budget=cfg.t, record_log=cfg.record_log, log=log if i == 0 else None)
         reports.append(rep)
         if check is not None and not check(rep):
             failures += 1
@@ -169,11 +171,10 @@ def _run_trials(cfg: ExperimentConfig, protocol_factory, check=None):
 
 
 def cmd_run_coin(args):
-    from .simnet import Simulation
-
     cfg = _config_from_args(args)
     proto, dp = build_protocol(cfg)
-    reports, failures = _run_trials(cfg, lambda: proto, check=lambda r: r.all_honest_output)
+    log = [] if args.log else None
+    reports, failures = _run_trials(cfg, lambda: proto, check=lambda r: r.all_honest_output, log=log)
     agreed = sum(r.agreed for r in reports)
     results = {
         "trials": cfg.trials,
@@ -183,11 +184,8 @@ def cmd_run_coin(args):
     }
     _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
     if args.log:
-        sim = Simulation(proto, build_strategy(cfg.strategy), mix64(cfg.seed, 1000),
-                         mode=cfg.mode, t_budget=cfg.t, record_log=True)
-        sim.run()
         with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(dump_event_log(sim.log))
+            fh.write(dump_event_log(log))
     print(f"run-coin: trials={cfg.trials} agreed={agreed} liveness_failures={failures}")
     return EXIT_OK if failures == 0 else EXIT_PROPERTY
 
@@ -400,9 +398,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParamError, VerificationBudgetError, InfeasibleLayoutError, InfeasibleGraphError,

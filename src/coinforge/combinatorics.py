@@ -433,6 +433,9 @@ def verify_publish_graph(
         raise ParamError(f"unknown verify mode {mode!r}")
     if mode == "none":
         return VerifyResult(True, mode, enumerated=False, note="verification skipped")
+    members = set(committee)
+    if not all(members.issuperset(row) for row in graph.adjacency):
+        raise ParamError("publish-graph adjacency rows must hold only members of the committee")
 
     s = len(committee)
     n = len(graph.adjacency)
@@ -571,24 +574,60 @@ def layout_document(layout: CommitteeLayout, graphs: list[PublishGraph] | None =
 
 
 def layout_from_document(doc: dict) -> tuple[CommitteeLayout, list[PublishGraph]]:
-    layout = CommitteeLayout(
-        n=doc["n"],
-        q=doc["q"],
-        s=doc["s"],
-        committees=tuple(tuple(c) for c in doc["committees"]),
-        verified=doc["verified"],
-        seed=doc["seed"],
-    )
-    graphs = [
-        PublishGraph(
-            committee_id=g["committee_id"],
-            adjacency=tuple(tuple(a) for a in g["adjacency"]),
-            verified=g["verified"],
-            seed=g["seed"],
+    """Layout and graphs of a document, refused with ParamError unless well formed.
+
+    Well formed: q committees, each a sorted s-subset of [0, n); at most one
+    graph per committee id in [0, q), each with n sorted adjacency rows of
+    one common size that hold only members of that committee.
+    """
+    try:
+        layout = CommitteeLayout(
+            n=doc["n"],
+            q=doc["q"],
+            s=doc["s"],
+            committees=tuple(tuple(c) for c in doc["committees"]),
+            verified=doc["verified"],
+            seed=doc["seed"],
         )
-        for g in doc["graphs"]
-    ]
+        graphs = [
+            PublishGraph(
+                committee_id=g["committee_id"],
+                adjacency=tuple(tuple(a) for a in g["adjacency"]),
+                verified=g["verified"],
+                seed=g["seed"],
+            )
+            for g in doc["graphs"]
+        ]
+    except KeyError as exc:
+        raise ParamError(f"layout document lacks the key {exc}") from None
+    _check_layout(layout, graphs)
     return layout, graphs
+
+
+def _sorted_ids(row) -> bool:
+    return all(isinstance(p, int) for p in row) and all(a < b for a, b in zip(row, row[1:]))
+
+
+def _check_layout(layout: CommitteeLayout, graphs: list[PublishGraph]) -> None:
+    n, q, s = layout.n, layout.q, layout.s
+    if len(layout.committees) != q:
+        raise ParamError(f"layout lists {len(layout.committees)} committees, not q={q}")
+    for j, row in enumerate(layout.committees):
+        if len(row) != s or not _sorted_ids(row) or (row and not (0 <= row[0] and row[-1] < n)):
+            raise ParamError(f"committee {j} is not a sorted {s}-subset of [0, {n})")
+    seen = set()
+    for g in graphs:
+        j = g.committee_id
+        if not isinstance(j, int) or not 0 <= j < q or j in seen:
+            raise ParamError(f"graph committee_id {j!r} is out of [0, {q}) or repeated")
+        seen.add(j)
+        if len(g.adjacency) != n:
+            raise ParamError(f"graph {j} has {len(g.adjacency)} adjacency rows, not n={n}")
+        members = set(layout.committees[j])
+        for row in g.adjacency:
+            if len(row) != g.delta_cap or not _sorted_ids(row) or not members.issuperset(row):
+                raise ParamError(f"graph {j}: adjacency rows must be sorted, of one size, "
+                                 f"and hold only members of committee {j}")
 
 
 def dumps_layout(layout: CommitteeLayout, graphs: list[PublishGraph] | None = None) -> str:

@@ -14,9 +14,10 @@ import json
 import os
 from dataclasses import dataclass, field, asdict
 
-from . import protocols, strategies
+from . import protocols
 from .combinatorics import loads_layout
 from .params import CoinParams, ParamError, derive_params
+from .strategies import build_strategy  # noqa: F401  (the CLI's entry point to the registry)
 
 ENV_SEED = "COINFORGE_SEED"
 
@@ -100,29 +101,6 @@ def parse_strategy_spec(text: str) -> dict:
     if len(parts) == 1:
         return parts[0]
     return {"name": "combined", "parts": parts}
-
-
-def _one_strategy(spec: dict):
-    name = spec["name"]
-    args = spec.get("args", [])
-    if name == "fifo":
-        return strategies.FifoStrategy()
-    if name == "random_delay":
-        return strategies.RandomDelayStrategy(float(args[0]) if args else 1.0)
-    if name == "committee_targeter":
-        return strategies.CommitteeTargeterStrategy([int(a) for a in args])
-    if name == "publish_delayer":
-        return strategies.PublishDelayerStrategy(float(args[0]) if args else 1.0)
-    if name == "benor_biaser":
-        return strategies.BenorBiaserStrategy()
-    raise ParamError(f"unknown strategy {name!r}")
-
-
-def build_strategy(spec: dict):
-    """Fresh strategy instance per trial (strategies carry per-run state)."""
-    if spec["name"] == "combined":
-        return strategies.CombinedStrategy(*[_one_strategy(p) for p in spec["parts"]])
-    return _one_strategy(spec)
 
 
 def load_layout_file(path: str):

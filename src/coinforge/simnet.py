@@ -22,7 +22,7 @@ in message totals.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 import json
 import math
 import random
@@ -50,6 +50,12 @@ def mix64(seed: int, index: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
     return x ^ (x >> 31)
+
+
+def _bucket_of(kind, size_bits):
+    if kind == K_OPAQUE:
+        return "opaque"
+    return "bit" if size_bits == 1 else "tagged"
 
 
 class StrategyViolation(RuntimeError):
@@ -284,7 +290,7 @@ class Simulation:
         self._seq = 0
         self._heap = []
         self.envelopes: list[Envelope] = []
-        self._sched: dict[int, float] = {}  # env id -> current scheduled delivery
+        self._sched: dict[int, float] = {}  # env id -> scheduled delivery, while pending
         self.corrupted: set[int] = set()
         self.corruption_log: list[tuple[int, float]] = []
         self.view = AdversaryView(self)
@@ -311,6 +317,9 @@ class Simulation:
             maj_bits + 1,  # MAJ
             0,             # OPAQUE: size must be declared at injection
         )
+        self._kind_bucket = tuple(_bucket_of(kind, size) for kind, size in enumerate(self._kind_size))
+        # largest cross-party delay delivered per sender while it was honest
+        self._sender_max_delay = [0.0] * self.n
 
         self._trial_ctx = protocol.setup_trial(random.Random(mix64(seed, 1)))
         self.parties = [protocol.make_party(i, self._trial_ctx) for i in range(self.n)]
@@ -344,47 +353,48 @@ class Simulation:
 
     def _push(self, time, etype, arg):
         self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, etype, arg))
+        heappush(self._heap, (time, self._seq, etype, arg))
 
-    def _emit(self, sender, msgs, injected=False):
+    def _emit(self, sender, msgs):
+        """Send each (recipients, inst, kind, payload) batch, counted once per batch."""
         if not msgs:
             return
         honest = sender not in self.corrupted
-        strategy = self.strategy
+        if honest:
+            kind_count, bucket = self._kind_count, self._bucket
+        else:
+            kind_count, bucket = self._byz_kind_count, self._byz_bucket
+        kind_size, kind_bucket = self._kind_size, self._kind_bucket
+        envelopes, sched, heap = self.envelopes, self._sched, self._heap
+        append, delay_for, deadline = envelopes.append, self._delay_for, DEADLINE
+        record_log = self.record_log
         now = self.now
+        seq = self._seq
+        eid = len(envelopes)
         for recipients, inst, kind, payload in msgs:
-            size = self._kind_size[kind]
+            size = kind_size[kind]
+            kind_count[kind] += len(recipients)
+            bucket[kind_bucket[kind]] += len(recipients)
             for r in recipients:
-                eid = len(self.envelopes)
-                env = Envelope(eid, sender, r, inst, kind, payload, size, now, honest, injected)
-                self.envelopes.append(env)
-                self._count_send(env)
+                env = Envelope(eid, sender, r, inst, kind, payload, size, now, honest)
+                append(env)
                 if r == sender:
                     t = now  # self-delivery, zero delay
                 else:
-                    delay = strategy.delay_for(env)
+                    delay = delay_for(env)
                     if delay is None:
-                        delay = DEADLINE
-                    if not (0.0 < delay <= DEADLINE):
+                        delay = deadline
+                    if not (0.0 < delay <= deadline):
                         raise StrategyViolation(f"delay {delay} outside (0, {DEADLINE}]")
                     t = now + delay
-                self._sched[eid] = t
-                self._push(t, 0, eid)
-                if self.record_log:
+                sched[eid] = t
+                seq += 1
+                heappush(heap, (t, seq, 0, eid))
+                if record_log:
                     self.log.append({"time": now, "kind": "send", "envelope_id": eid,
                                      "detail": f"{sender}->{r} {KIND_NAMES[kind]}/{inst} p={payload}"})
-
-    def _count_send(self, env):
-        if env.kind == K_OPAQUE:
-            bucket = "opaque"
-        else:
-            bucket = "bit" if env.size_bits == 1 else "tagged"
-        if env.honest_at_send:
-            self._kind_count[env.kind] += 1
-            self._bucket[bucket] += 1
-        else:
-            self._byz_kind_count[env.kind] += 1
-            self._byz_bucket[bucket] += 1
+                eid += 1
+        self._seq = seq
 
     # -- adversary actions -----------------------------------------------------
 
@@ -435,7 +445,8 @@ class Simulation:
             env = Envelope(eid, sender, msg["recipient"], msg.get("inst", 0), kind,
                            msg["payload"], size, self.now, False, injected=True)
             self.envelopes.append(env)
-            self._count_send(env)
+            self._byz_kind_count[kind] += 1
+            self._byz_bucket[_bucket_of(kind, size)] += 1
             t = act.time if act.time is not None else self.now + MIN_DELAY
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
@@ -477,60 +488,77 @@ class Simulation:
     # -- main loop ---------------------------------------------------------------
 
     def run(self, stop=None) -> TrialReport:
+        strategy = self.strategy
+        # looked up here, not in __init__, so a per-instance wrapper set after
+        # construction is the one that runs
+        self._delay_for = strategy.delay_for
         for pid, party in enumerate(self.parties):
             self._emit(pid, party.on_start())
-        reactive = getattr(self.strategy, "reactive", False)
+        # a reactive strategy is polled after every event until it turns
+        # `reactive` off; that is one-way, it is never polled again
+        reactive = getattr(strategy, "reactive", False)
         if reactive:
             self._adversary_phase()
-        heap = self._heap
+            reactive = strategy.reactive
+        heap, envelopes, sched = self._heap, self.envelopes, self._sched
+        corrupted, parties, output_times = self.corrupted, self.parties, self.output_times
+        sender_max_delay = self._sender_max_delay
+        record_log, max_events = self.record_log, self.max_events
         while heap:
             self.events += 1
-            if self.events > self.max_events:
+            if self.events > max_events:
                 raise RuntimeError("event budget exhausted; protocol likely not quiescing")
-            t, _, etype, arg = heapq.heappop(heap)
+            t, _, etype, arg = heappop(heap)
             if etype == 0:
-                env = self.envelopes[arg]
-                if env.dropped or env.delivered_at is not None or self._sched.get(arg) != t:
-                    continue  # stale heap entry
+                if sched.get(arg) != t:
+                    continue  # stale heap entry: re-timed, dropped or delivered
+                env = envelopes[arg]
                 self.now = t
                 env.delivered_at = t
-                del self._sched[arg]
-                if self.record_log:
+                del sched[arg]
+                if record_log:
                     self.log.append({"time": t, "kind": "deliver", "envelope_id": arg, "detail": ""})
-                rec = env.recipient
-                if rec not in self.corrupted:
-                    party = self.parties[rec]
-                    self._emit(rec, party.on_message(env))
-                    if party.output is not None and self.output_times[rec] is None:
-                        self.output_times[rec] = t
-                        if self.record_log:
+                rec, sender = env.recipient, env.sender
+                if rec != sender and sender not in corrupted:
+                    delay = t - env.sent_at
+                    if delay > sender_max_delay[sender]:
+                        sender_max_delay[sender] = delay
+                if rec not in corrupted:
+                    party = parties[rec]
+                    msgs = party.on_message(env)
+                    if msgs:
+                        self._emit(rec, msgs)
+                    if party.output is not None and output_times[rec] is None:
+                        output_times[rec] = t
+                        if record_log:
                             self.log.append({"time": t, "kind": "output", "party": rec,
                                              "detail": repr(party.output)})
             else:
                 idx, member = arg
                 ci = self.coin_instances[idx]
                 self.now = t
-                if member in ci.output_times or member in self.corrupted:
+                if member in ci.output_times or member in corrupted:
                     continue
                 if ci.offsets.get(member) is not None and ci.activation + ci.offsets[member] != t:
                     continue  # re-timed; stale entry
-                fair = ci.resolve(self.corrupted)
+                fair = ci.resolve(corrupted)
                 if fair:
                     bit = ci.b_star
                 else:
                     bit = ci.assigned.get(member)
                     if bit is None:
-                        bit = self.strategy.adversarial_coin_bit(ci.spec, member, self.view)
+                        bit = strategy.adversarial_coin_bit(ci.spec, member, self.view)
                 ci.output_times[member] = t
-                if self.record_log:
+                if record_log:
                     self.log.append({"time": t, "kind": "coin", "party": member,
                                      "detail": f"inst={ci.spec.inst} bit={bit} fair={fair}"})
-                party = self.parties[member]
+                party = parties[member]
                 self._emit(member, party.on_coin(ci.spec.inst, bit))
-                if party.output is not None and self.output_times[member] is None:
-                    self.output_times[member] = t
+                if party.output is not None and output_times[member] is None:
+                    output_times[member] = t
             if reactive:
                 self._adversary_phase()
+                reactive = strategy.reactive
             if stop is not None and stop(self):
                 break
         return self._report()
@@ -545,12 +573,10 @@ class Simulation:
         agreed = all_out and len(set(honest_out)) == 1
         output_bit = honest_out[0] if agreed and honest_out else None
 
-        max_delay = 0.0
-        for env in self.envelopes:
-            if env.delivered_at is not None and env.sender not in self.corrupted and env.recipient != env.sender:
-                delay = env.delivered_at - env.sent_at
-                if delay > max_delay:
-                    max_delay = delay
+        # a sender corrupted after delivery no longer counts, as if every
+        # delivered envelope were rescanned now
+        max_delay = max((d for pid, d in enumerate(self._sender_max_delay) if pid not in self.corrupted),
+                        default=0.0)
         if max_delay == 0.0:
             max_delay = 1.0
 
@@ -620,6 +646,15 @@ class Simulation:
         )
 
 
-def run_simulation(protocol, strategy, seed: int, stop=None, **kw) -> TrialReport:
-    """Build one Simulation, run it to quiescence (or `stop`), return the report."""
-    return Simulation(protocol, strategy, seed, **kw).run(stop)
+def run_simulation(protocol, strategy, seed: int, stop=None, log=None, **kw) -> TrialReport:
+    """Build one Simulation, run it to quiescence (or `stop`), return the report.
+
+    Given a list as `log`, the run records its event log and appends it there.
+    """
+    if log is not None:
+        kw["record_log"] = True
+    sim = Simulation(protocol, strategy, seed, **kw)
+    report = sim.run(stop)
+    if log is not None:
+        log.extend(sim.log)
+    return report

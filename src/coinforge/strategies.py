@@ -6,8 +6,15 @@ A strategy sees an AdversaryView and steers the run through two channels:
     delivery delay in (0, 1]; None means the 1-unit deadline. This is sugar
     for an immediate "delay" action and keeps the common path cheap.
   * next_action(view) is polled after every event while it returns actions
-    (corrupt / drop / delay / deliver / inject / coin_set). Only strategies
-    with `reactive = True` are polled.
+    (corrupt / drop / delay / deliver / inject / coin_set); None means
+    "nothing now". Only strategies with `reactive` true are polled, and a
+    strategy with nothing left to do sets `reactive = False`: the run loop
+    re-reads the flag after each adversary phase and, once it reads False,
+    never polls that strategy again.
+
+Every built-in declares its CLI name and builds itself from the string
+arguments of a spec "name:a,b" (`from_args`); `built_in_strategies()` is the
+one name table and `build_strategy` the one place specs become strategies.
 
 Built-ins (all deterministic given their bound seed):
 
@@ -31,12 +38,18 @@ from __future__ import annotations
 import math
 import random
 
+from .params import ParamError
 from .simnet import AdversaryAction, DEADLINE, K_COIN, K_PUB, MIN_DELAY, StrategyViolation
 
 
 class Strategy:
     name = "base"
     reactive = False
+
+    @classmethod
+    def from_args(cls, args):
+        """Instance from the string arguments of a CLI spec."""
+        return cls()
 
     def bind(self, sim, rng):
         self.sim = sim
@@ -69,6 +82,10 @@ class RandomDelayStrategy(Strategy):
             raise ValueError("scale must be in (0, 1]")
         self.scale = scale
 
+    @classmethod
+    def from_args(cls, args):
+        return cls(float(args[0]) if args else 1.0)
+
     def delay_for(self, env):
         return self.rng.randrange(1, 257) / 256.0 * self.scale
 
@@ -92,6 +109,10 @@ class CommitteeTargeterStrategy(Strategy):
         self.targets = list(targets)
         self._planned = False
         self._queue = []
+
+    @classmethod
+    def from_args(cls, args):
+        return cls([int(a) for a in args])
 
     def _plan(self, view):
         proto = view.protocol
@@ -118,7 +139,10 @@ class CommitteeTargeterStrategy(Strategy):
         if not self._planned:
             self._planned = True
             self._plan(view)
-        return self._queue.pop(0) if self._queue else None
+        if self._queue:
+            return self._queue.pop(0)
+        self.reactive = False  # plan drained
+        return None
 
 
 class PublishDelayerStrategy(Strategy):
@@ -134,6 +158,10 @@ class PublishDelayerStrategy(Strategy):
             raise ValueError("base_delay must be in (0, 1]")
         self.fraction = fraction
         self.base_delay = base_delay
+
+    @classmethod
+    def from_args(cls, args):
+        return cls(float(args[0]) if args else 1.0)
 
     def bind(self, sim, rng):
         super().bind(sim, rng)
@@ -209,7 +237,10 @@ class BenorBiaserStrategy(Strategy):
         if not self._planned:
             self._planned = True
             self._plan(view)
-        return self._queue.pop(0) if self._queue else None
+        if self._queue:
+            return self._queue.pop(0)
+        self.reactive = False  # plan drained
+        return None
 
 
 class CombinedStrategy(Strategy):
@@ -219,17 +250,27 @@ class CombinedStrategy(Strategy):
 
     def __init__(self, *parts):
         self.parts = list(parts)
-        self.reactive = any(getattr(p, "reactive", False) for p in self.parts)
+        self._delayers = [p.delay_for for p in self.parts]
+
+    @property
+    def reactive(self):
+        return any(getattr(p, "reactive", False) for p in self.parts)
 
     def bind(self, sim, rng):
         super().bind(sim, rng)
         for p in self.parts:
             p.bind(sim, random.Random(rng.getrandbits(63)))
+        # a part that keeps the base delay_for always answers None and draws
+        # nothing, so skipping it changes neither the winner nor any rng stream
+        self._delayers = [p.delay_for for p in self.parts
+                          if "delay_for" in vars(p) or type(p).delay_for is not Strategy.delay_for]
+        if len(self._delayers) == 1:
+            self.delay_for = self._delayers[0]
 
     def delay_for(self, env):
         chosen = None
-        for p in self.parts:
-            d = p.delay_for(env)
+        for delay_for in self._delayers:
+            d = delay_for(env)
             if d is not None:
                 chosen = d
         return chosen
@@ -254,12 +295,33 @@ class CombinedStrategy(Strategy):
         return bit
 
 
+_BUILT_IN = {cls.name: cls for cls in (FifoStrategy, RandomDelayStrategy, CommitteeTargeterStrategy,
+                                       PublishDelayerStrategy, BenorBiaserStrategy)}
+
+
 def built_in_strategies() -> dict:
-    """Name -> constructor for the stock adversaries."""
-    return {
-        "fifo": FifoStrategy,
-        "random_delay": RandomDelayStrategy,
-        "committee_targeter": CommitteeTargeterStrategy,
-        "publish_delayer": PublishDelayerStrategy,
-        "benor_biaser": BenorBiaserStrategy,
-    }
+    """Name -> class for the stock adversaries; each parses its own CLI arguments."""
+    return dict(_BUILT_IN)
+
+
+def build_strategy(spec: dict):
+    """Fresh strategy instance per trial (strategies carry per-run state).
+
+    `spec` is {"name", "args"} or {"name": "combined", "parts": [...]}, as
+    `config.parse_strategy_spec` writes it; unknown names and unparsable
+    arguments are ParamErrors.
+    """
+    if spec["name"] == "combined":
+        return CombinedStrategy(*[_build_one(p) for p in spec["parts"]])
+    return _build_one(spec)
+
+
+def _build_one(spec: dict):
+    cls = _BUILT_IN.get(spec["name"])
+    if cls is None:
+        raise ParamError(f"unknown strategy {spec['name']!r}")
+    args = spec.get("args", [])
+    try:
+        return cls.from_args(args)
+    except ValueError as exc:
+        raise ParamError(f"bad arguments {args!r} for strategy {spec['name']!r}: {exc}") from None

@@ -5,7 +5,7 @@ import pytest
 from coinforge.cli import main
 from coinforge.config import ExperimentConfig, parse_strategy_spec, build_strategy
 from coinforge.params import ParamError
-from coinforge.strategies import CombinedStrategy, PublishDelayerStrategy
+from coinforge.strategies import CombinedStrategy, PublishDelayerStrategy, built_in_strategies
 
 
 def run_cli(*argv):
@@ -206,6 +206,48 @@ def test_strategy_spec_grammar():
         build_strategy(parse_strategy_spec("mystery"))
     with pytest.raises(ParamError):
         parse_strategy_spec("")
+
+
+SPEC_ARGS = {"fifo": "", "random_delay": ":0.5", "committee_targeter": ":0,2", "publish_delayer": ":0.25",
+             "benor_biaser": ""}
+
+
+def test_every_registered_strategy_builds_from_a_spec_string():
+    registry = built_in_strategies()
+    assert set(registry) == set(SPEC_ARGS)
+    for name, cls in registry.items():
+        for text in (name, name + SPEC_ARGS[name]):
+            strat = build_strategy(parse_strategy_spec(text))
+            assert type(strat) is cls and strat.name == name
+    assert build_strategy(parse_strategy_spec("random_delay:0.5")).scale == 0.5
+    assert build_strategy(parse_strategy_spec("committee_targeter:0,2")).targets == [0, 2]
+    assert build_strategy(parse_strategy_spec("publish_delayer:0.25")).fraction == 0.25
+    combined = build_strategy(parse_strategy_spec("+".join(n + SPEC_ARGS[n] for n in sorted(registry))))
+    assert [p.name for p in combined.parts] == sorted(registry)
+
+
+@pytest.mark.parametrize("text", ["random_delay:fast", "random_delay:2", "committee_targeter:x",
+                                  "publish_delayer:1.5", "fifo+mystery"])
+def test_bad_strategy_specs_are_param_errors(text):
+    with pytest.raises(ParamError):
+        build_strategy(parse_strategy_spec(text))
+
+
+def test_bad_strategy_arguments_are_a_config_error(tmp_path):
+    rc = run_cli("run-crusader", "--s", "4", "--trials", "1", "--strategy", "random_delay:fast")
+    assert rc == 3
+
+
+def test_malformed_layout_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "layout.json"
+    doc = json.loads(open(_gen_layout(tmp_path)).read())
+    doc["graphs"][0]["adjacency"][0][-1] = 99  # not a member of committee 0
+    path.write_text(json.dumps(doc))
+    rc = run_cli("verify", "--layout", str(path), "--n", "8", "--override-q", "5",
+                 "--override-s", "4", "--override-c", "4", "--override-d", "1",
+                 "--z", "0.3", "--epsilon", "0.0833", "--alpha", "0.3333")
+    assert rc == 3
+    assert "committee 0" in capsys.readouterr().err
 
 
 def test_params_only_config_document(tmp_path, capsys):

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import json
 import math
 import random
 
@@ -18,6 +20,7 @@ from coinforge.combinatorics import (
     gen_publish_graph,
     generation_failure_bound,
     layout_document,
+    layout_from_document,
     loads_layout,
     overloading_fault_sets,
     sample_without_replacement,
@@ -294,3 +297,67 @@ def test_layout_document_roundtrip_is_byte_exact():
     assert dumps_layout(layout2, graphs2) == text
     doc = layout_document(layout, graphs)
     assert set(doc) == {"n", "q", "s", "seed", "committees", "graphs", "verified"}
+
+
+def _layout_doc():
+    layout = gen_committees(8, 5, 4, 1 / 3, 1 / 12, 4, seed=11)
+    graphs = [gen_publish_graph(cmt, 8, 1, 3, seed=j, committee_id=j)
+              for j, cmt in enumerate(layout.committees)]
+    return json.loads(dumps_layout(layout, graphs))
+
+
+def _set(path, value):
+    def edit(doc):
+        *keys, last = path
+        for k in keys:
+            doc = doc[k]
+        doc[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("what,edit", [
+    ("member id n", lambda d: d["committees"][0].__setitem__(-1, 8)),
+    ("negative member id", lambda d: d["committees"][0].__setitem__(0, -1)),
+    ("unsorted committee", lambda d: d["committees"][0].reverse()),
+    ("duplicate member", lambda d: d["committees"][0].__setitem__(1, d["committees"][0][0])),
+    ("committee not of size s", lambda d: d["committees"][0].pop()),
+    ("too few committees", lambda d: d["committees"].pop()),
+    ("q disagrees", _set(("q",), 6)),
+    ("float member id", lambda d: d["committees"][0].__setitem__(0, 0.5)),
+    ("graph id out of range", _set(("graphs", 0, "committee_id"), 5)),
+    ("graph id negative", _set(("graphs", 0, "committee_id"), -1)),
+    ("graph id repeated", _set(("graphs", 1, "committee_id"), 0)),
+    ("too few adjacency rows", lambda d: d["graphs"][0]["adjacency"].pop()),
+    ("unsorted adjacency row", lambda d: d["graphs"][0]["adjacency"][0].reverse()),
+    ("adjacency rows of two sizes", lambda d: d["graphs"][0]["adjacency"][3].pop()),
+    ("row id outside the committee", lambda d: d["graphs"][0]["adjacency"][0].__setitem__(-1, 99)),
+    ("missing key", lambda d: d.pop("seed")),
+])
+def test_layout_documents_are_validated(what, edit):
+    doc = _layout_doc()
+    layout_from_document(copy.deepcopy(doc))  # the untouched document loads
+    edit(doc)
+    with pytest.raises(ParamError):
+        layout_from_document(doc)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled", "none"])
+def test_generated_layouts_load(mode):
+    # the desk-scale test point and the benchmark's fairness and layout points
+    points = ((8, 5, 4, 4, 1, 3, 1 / 12), (16, 9, 4, 3, 1, publish_degree(4, 1, 16), 0.15),
+              (32, 9, 16, 4, 6, 9, 0.125))
+    for n, q, s, c, d, delta, epsilon in points:
+        for seed in range(3):
+            layout = gen_committees(n, q, s, 0.3333, epsilon, c, seed=seed, verify_mode=mode)
+            graphs = [gen_publish_graph(cmt, n, d, delta, seed=seed + j, verify_mode=mode, committee_id=j)
+                      for j, cmt in enumerate(layout.committees)]
+            text = dumps_layout(layout, graphs)
+            assert dumps_layout(*loads_layout(text)) == text
+
+
+def test_publish_graph_rows_outside_the_committee_are_refused():
+    committee = tuple(range(7))
+    graph = PublishGraph(0, ((0, 1, 99),) * 4, "x", 0)
+    for mode in ("exhaustive", "sampled"):
+        with pytest.raises(ParamError, match="members of the committee"):
+            verify_publish_graph(graph, committee, 2, mode)
