@@ -156,14 +156,21 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+def _check_record_log(cfg: ExperimentConfig, log=None):
+    """A config's `record_log` asks for trial 0's event log, which only run-coin --log writes."""
+    if cfg.record_log and log is None:
+        raise ParamError("record_log: true needs --log PATH (run-coin), the only place an event log is written")
+
+
 def _run_trials(cfg: ExperimentConfig, protocol_factory, check=None, log=None):
-    """Run cfg.trials trials; a `log` list receives trial 0's event log."""
+    """Run cfg.trials trials; a `log` list receives trial 0's event log, and only it is recorded."""
+    _check_record_log(cfg, log)
     reports = []
     failures = 0
     for i in range(cfg.trials):
         rep = run_simulation(
             protocol_factory(), build_strategy(cfg.strategy), mix64(cfg.seed, 1000 + i),
-            mode=cfg.mode, t_budget=cfg.t, record_log=cfg.record_log, log=log if i == 0 else None)
+            mode=cfg.mode, t_budget=cfg.t, log=log if i == 0 else None)
         reports.append(rep)
         if check is not None and not check(rep):
             failures += 1
@@ -235,6 +242,7 @@ def cmd_run_publish(args):
 
 def cmd_estimate_fairness(args):
     cfg = _config_from_args(args)
+    _check_record_log(cfg)
     proto, dp = build_protocol(cfg)
     q = dp.q if dp is not None else 1
     scenario = analysis.Scenario(
@@ -290,6 +298,7 @@ def cmd_cost_report(args):
 
 def cmd_leader(args):
     cfg = _config_from_args(args)
+    _check_record_log(cfg)
     cfg.protocol = {"kind": "multivalued", "ell": args.ell, "coin": cfg.protocol.get("coin", "ideal")}
     proto, dp = build_protocol(cfg)
     rep = run_simulation(proto, build_strategy(cfg.strategy), mix64(cfg.seed, 1000),

@@ -209,6 +209,15 @@ def benor_strong_coin(inst: int, members: tuple[int, ...], t_local: int) -> Coin
                     mode="benor", t_local=t_local)
 
 
+def reverse_adjacency(committee, graph: PublishGraph) -> dict:
+    """Reverse adjacency of a publish graph: member -> the receiver vertices it serves, ascending."""
+    rev = {m: [] for m in committee}
+    for v, neighbors in enumerate(graph.adjacency):
+        for m in neighbors:
+            rev[m].append(v)
+    return {m: tuple(vs) for m, vs in rev.items()}
+
+
 # --- transformation party ----------------------------------------------------
 
 
@@ -351,14 +360,7 @@ class TransformProtocol:
         self.committees = [tuple(c) for c in layout.committees]
         self.member_sets = [frozenset(c) for c in self.committees]
         self.neighbor_sets = [[frozenset(g.adjacency[v]) for v in range(self.n)] for g in graphs]
-        # reverse adjacency: which receiver vertices each member serves
-        self.receivers_of = []
-        for j, g in enumerate(graphs):
-            rev = {m: [] for m in self.committees[j]}
-            for v in range(self.n):
-                for m in g.adjacency[v]:
-                    rev[m].append(v)
-            self.receivers_of.append({m: tuple(vs) for m, vs in rev.items()})
+        self.receivers_of = [reverse_adjacency(c, g) for c, g in zip(self.committees, graphs)]
 
         if coin_mode == "ideal":
             self.coin_specs = [
@@ -372,6 +374,7 @@ class TransformProtocol:
             ]
 
     def setup_trial(self, rng: random.Random):
+        """Benor-mode members' generated bits, in `coin_specs` order (MultiTransformProtocol too)."""
         if self.coin_mode != "benor":
             return None
         return {(spec.inst, m): rng.getrandbits(1) for spec in self.coin_specs for m in spec.members}
@@ -402,13 +405,14 @@ class TransformProtocol:
 class MultiParty:
     """ell parallel transformation instances; output is the concatenated value."""
 
-    __slots__ = ("subs", "q", "ell", "output")
+    __slots__ = ("subs", "q", "ell", "pending", "output")
 
     def __init__(self, pid, proto, ctx):
         self.q = proto.q
         self.ell = proto.ell
         self.subs = [TransformParty(pid, proto.base, ctx, base=e * proto.base.q, maj_inst=e)
                      for e in range(proto.ell)]
+        self.pending = proto.ell  # sub-instances without an output yet
         self.output = None
 
     def on_start(self):
@@ -417,24 +421,24 @@ class MultiParty:
             msgs.extend(sub.on_start())
         return msgs
 
-    def _check(self):
-        if self.output is None and all(s.output is not None for s in self.subs):
-            value = 0
-            for s in self.subs:
-                value = (value << 1) | s.output
-            self.output = value
-
     def on_coin(self, inst, bit):
-        msgs = self.subs[inst // self.q].on_coin(inst, bit)
-        self._check()
-        return msgs
+        # never finishes a sub-instance: a TransformParty outputs only on a MAJ delivery
+        return self.subs[inst // self.q].on_coin(inst, bit)
 
     def on_message(self, env):
         e = env.inst if env.kind == K_MAJ else env.inst // self.q
         if not (0 <= e < self.ell):
             return []
-        msgs = self.subs[e].on_message(env)
-        self._check()
+        sub = self.subs[e]
+        was_open = sub.output is None
+        msgs = sub.on_message(env)
+        if was_open and sub.output is not None:
+            self.pending -= 1
+            if self.pending == 0:  # the last output completes the value, sub-instance 0 highest
+                value = 0
+                for s in self.subs:
+                    value = (value << 1) | s.output
+                self.output = value
         return msgs
 
     @property
@@ -467,10 +471,7 @@ class MultiTransformProtocol:
             for spec in base.coin_specs
         ]
 
-    def setup_trial(self, rng: random.Random):
-        if self.coin_mode != "benor":
-            return None
-        return {(spec.inst, m): rng.getrandbits(1) for spec in self.coin_specs for m in spec.members}
+    setup_trial = TransformProtocol.setup_trial
 
     def benor_truth(self, ctx, spec, corrupted):
         return self.base.benor_truth(ctx, spec, corrupted)
@@ -607,11 +608,7 @@ class PublishProtocol:
         self.maj_tag_space = 1
         self.coin_specs = ()
         self.delta_cap = graph.delta_cap
-        rev = {m: [] for m in self.committee}
-        for v in range(n):
-            for m in graph.adjacency[v]:
-                rev[m].append(v)
-        self.receivers_of = {m: tuple(vs) for m, vs in rev.items()}
+        self.receivers_of = reverse_adjacency(self.committee, graph)
 
     def setup_trial(self, rng):
         return dict(self.inputs(rng)) if callable(self.inputs) else dict(self.inputs)

@@ -22,6 +22,7 @@ in message totals.
 
 from __future__ import annotations
 
+import gc
 from heapq import heappop, heappush
 import json
 import math
@@ -161,7 +162,8 @@ class CoinInstance:
 
 
 class AdversaryView:
-    """What the adversary may observe: a live window onto the simulation."""
+    """What the adversary may observe: a live window onto the simulation,
+    detached when its run() returns."""
 
     def __init__(self, sim):
         self._sim = sim
@@ -488,6 +490,14 @@ class Simulation:
     # -- main loop ---------------------------------------------------------------
 
     def run(self, stop=None) -> TrialReport:
+        try:
+            return self._run(stop)
+        finally:
+            # drop the view's back-reference: a finished run holds no sim <-> view
+            # cycle, so it is freed by reference counting, even if a strategy kept the view
+            self.view._sim = None
+
+    def _run(self, stop):
         strategy = self.strategy
         # looked up here, not in __init__, so a per-instance wrapper set after
         # construction is the one that runs
@@ -650,11 +660,23 @@ def run_simulation(protocol, strategy, seed: int, stop=None, log=None, **kw) -> 
     """Build one Simulation, run it to quiescence (or `stop`), return the report.
 
     Given a list as `log`, the run records its event log and appends it there.
+
+    A finished trial holds no reference cycles and is freed by reference
+    counting, so the cyclic collector is paused while it runs (its envelopes
+    would otherwise set off young-generation scans of live objects) and the
+    caller's collector state is restored on the way out, also on an error.
     """
     if log is not None:
         kw["record_log"] = True
-    sim = Simulation(protocol, strategy, seed, **kw)
-    report = sim.run(stop)
-    if log is not None:
-        log.extend(sim.log)
-    return report
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(protocol, strategy, seed, **kw)
+        report = sim.run(stop)
+        if log is not None:
+            log.extend(sim.log)
+        del sim  # freed here, before the collector can run again
+        return report
+    finally:
+        if enabled:
+            gc.enable()

@@ -12,6 +12,12 @@ A strategy sees an AdversaryView and steers the run through two channels:
     re-reads the flag after each adversary phase and, once it reads False,
     never polls that strategy again.
 
+bind(sim, rng) hands a strategy its per-trial rng and may read the run's
+settings (n, mode); it keeps no reference to `sim`. The view passed to the
+hooks is detached once run() returns, and a trial runs with the cyclic
+collector paused, so a strategy should build no reference cycles it expects
+to be collected mid-run.
+
 Every built-in declares its CLI name and builds itself from the string
 arguments of a spec "name:a,b" (`from_args`); `built_in_strategies()` is the
 one name table and `build_strategy` the one place specs become strategies.
@@ -52,7 +58,7 @@ class Strategy:
         return cls()
 
     def bind(self, sim, rng):
-        self.sim = sim
+        # no reference to `sim` is kept, so a finished trial is freed by reference counting
         self.rng = rng
 
     def delay_for(self, env):

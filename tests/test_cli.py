@@ -277,3 +277,51 @@ def test_config_roundtrip_and_digest(tmp_path):
     assert again.digest() == cfg.digest()
     with pytest.raises(ParamError, match="unknown config"):
         ExperimentConfig.from_dict({"banana": 1})
+
+# --- record_log: only trial 0, only through --log ---------------------------------
+
+_COIN_FLAGS = ("--n", "8", "--override-q", "5", "--override-s", "4", "--override-c", "4",
+               "--override-d", "1", "--z", "0.3", "--epsilon", "0.0833", "--alpha", "0.3333")
+
+
+def test_record_log_config_records_trial_zero_only(tmp_path, monkeypatch):
+    from coinforge import cli
+
+    layout = _gen_layout(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"record_log": True}))
+    calls = []
+    inner = cli.run_simulation
+
+    def spy(*args, **kw):
+        calls.append((kw.get("record_log"), kw.get("log") is not None))
+        return inner(*args, **kw)
+
+    monkeypatch.setattr(cli, "run_simulation", spy)
+    logs = {}
+    for name, extra in (("with_key", ("--config", str(cfg_path))), ("without_key", ())):
+        log = tmp_path / f"{name}.ndjson"
+        assert run_cli("run-coin", "--layout", layout, *_COIN_FLAGS, *extra, "--strategy", "random_delay",
+                       "--trials", "3", "--seed", "9", "--out", str(tmp_path / f"{name}.json"),
+                       "--log", str(log)) == 0
+        logs[name] = log.read_text()
+    assert calls == [(None, True), (None, False), (None, False)] * 2
+    assert logs["with_key"] and logs["with_key"] == logs["without_key"]
+    doc = json.loads((tmp_path / "with_key.json").read_text())
+    assert doc["config"]["record_log"] is True  # the key stays in the config and its digest
+
+
+@pytest.mark.parametrize("command", ["run-coin", "run-crusader", "estimate-fairness", "leader"])
+def test_record_log_without_log_is_a_config_error(tmp_path, capsys, command):
+    layout = _gen_layout(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"record_log": True}))
+    argv = {
+        "run-coin": ["--layout", layout, *_COIN_FLAGS, "--trials", "2"],
+        "run-crusader": ["--s", "4", "--trials", "2"],
+        "estimate-fairness": ["--layout", layout, *_COIN_FLAGS, "--trials", "2"],
+        "leader": ["--layout", layout, *_COIN_FLAGS, "--ell", "2"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(cfg_path), *argv) == 3
+    assert "--log" in capsys.readouterr().err
