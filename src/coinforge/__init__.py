@@ -59,9 +59,9 @@ from .protocols import (
 from .analysis import (
     AuditResult,
     FairnessEstimate,
-    Scenario,
     audit_transcript,
     estimate_fairness,
+    run_trials,
     verify_anticoncentration,
     wilson_interval,
 )

@@ -1,5 +1,6 @@
 """Exact and statistical verification: the binomial anti-concentration bound,
-fairness estimation with Wilson intervals, and transcript auditing.
+the seeded trial runner, fairness estimation with Wilson intervals, and
+transcript auditing.
 
 Statistical results here are evidence, not proof: estimates carry seeded
 reproducibility and confidence intervals, while the anti-concentration check
@@ -17,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
-from .params import DerivedParams
+from .params import DerivedParams, ParamError
 from .simnet import TrialReport, mix64, run_simulation
 
 
@@ -67,9 +68,9 @@ def verify_anticoncentration(n_max: int) -> AntiConcentrationResult:
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float, float]:
     """(low, high, half_width) of the Wilson score interval."""
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise ParamError(f"trials must be positive, got {trials}")
     if not (0.0 < confidence < 1.0):
-        raise ValueError("confidence must be in (0, 1)")
+        raise ParamError(f"confidence must be in (0, 1), got {confidence}")
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = successes / trials
     z2 = z * z
@@ -79,31 +80,27 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tu
     return max(0.0, center - half), min(1.0, center + half), half
 
 
+# --- the trial runner --------------------------------------------------------
+
+
+def run_trials(protocol, make_strategy, seed: int, trials: int, *, mode: str = "secure",
+               t_budget: int = 0, log=None):
+    """An iterator over the reports of trials 0..trials-1, each run when it is asked for.
+
+    Trial i runs `protocol` against a fresh `make_strategy()` at seed
+    mix64(seed, 1000 + i). A `log` list receives trial 0's event log, and only
+    trial 0 is recorded. Every command and estimate runs its trials here.
+    `run_simulation` is looked up in this module at each trial, so a wrapper
+    set on `analysis.run_simulation` sees every trial.
+    """
+    if trials < 0:
+        raise ParamError(f"trials must be non-negative, got {trials}")
+    return (run_simulation(protocol, make_strategy(), mix64(seed, 1000 + i), mode=mode,
+                           t_budget=t_budget, log=log if i == 0 else None)
+            for i in range(trials))
+
+
 # --- fairness estimation -----------------------------------------------------
-
-
-@dataclass
-class Scenario:
-    """Everything needed to rerun one experiment trial-by-trial."""
-
-    make_protocol: callable
-    make_strategy: callable
-    seed: int
-    delta: float
-    z: float
-    q: int
-    mode: str = "secure"
-    t_budget: int = 0
-    label: str = ""
-
-    def run_trial(self, index: int) -> TrialReport:
-        return run_simulation(
-            self.make_protocol(),
-            self.make_strategy(),
-            mix64(self.seed, 1000 + index),
-            mode=self.mode,
-            t_budget=self.t_budget,
-        )
 
 
 @dataclass
@@ -156,9 +153,9 @@ class FairnessEstimate:
         return buf.getvalue()
 
 
-def estimate_fairness(scenario: Scenario, trials: int, confidence: float = 0.99,
-                      keep_rows: bool = True, collect=None) -> FairnessEstimate:
-    """Run seeded trials and estimate the common-uniform-output rate.
+def estimate_fairness(reports, *, delta: float, z: float, q: int, confidence: float = 0.99,
+                      label: str = "", seed: int = 0) -> FairnessEstimate:
+    """Fold trial reports, one at a time, into the common-uniform-output rate.
 
     A trial counts as common-uniform when all honest parties output, their
     outputs agree, the trial-level fair bit b* is defined (every committee
@@ -166,7 +163,7 @@ def estimate_fairness(scenario: Scenario, trials: int, confidence: float = 0.99,
     harness-side ground truth is used rather than inferring fairness from the
     outputs themselves. Trials without a defined b* are counted separately.
     The estimate passes when the Wilson lower edge clears the target
-    1 - (1-delta)*q - z (vacuous targets <= 0 auto-pass).
+    1 - (1-delta)*q - z (the lower edge is >= 0, so a target <= 0 is vacuous).
     """
     agreed = 0
     common = 0
@@ -174,10 +171,7 @@ def estimate_fairness(scenario: Scenario, trials: int, confidence: float = 0.99,
     live = 0
     bits = [0, 0]
     rows = []
-    for i in range(trials):
-        rep = scenario.run_trial(i)
-        if collect is not None:
-            collect(rep)
+    for i, rep in enumerate(reports):
         if rep.agreed:
             agreed += 1
             if rep.output_bit in (0, 1):
@@ -188,20 +182,17 @@ def estimate_fairness(scenario: Scenario, trials: int, confidence: float = 0.99,
             undefined += 1
         elif rep.agreed and rep.output_bit == rep.b_star:
             common += 1
-        if keep_rows:
-            rows.append([
-                i, rep.seed, int(rep.agreed),
-                rep.output_bit if rep.agreed else "",
-                rep.latency if not math.isinf(rep.latency) else "",
-                rep.msg_count_by_bucket["bit"],
-                rep.msg_count_by_bucket["tagged"],
-                rep.msg_count_by_bucket["opaque"],
-            ])
+        rows.append([
+            i, rep.seed, int(rep.agreed),
+            rep.output_bit if rep.agreed else "",
+            rep.latency if not math.isinf(rep.latency) else "",
+            rep.msg_count_by_bucket["bit"],
+            rep.msg_count_by_bucket["tagged"],
+            rep.msg_count_by_bucket["opaque"],
+        ])
+    trials = len(rows)
     lo, hi, half = wilson_interval(common, trials, confidence)
-    target = 1.0 - (1.0 - scenario.delta) * scenario.q - scenario.z
-    # pass/fail is judged against the target minus the interval half-width;
-    # a nonpositive target is vacuous and auto-passes
-    met = target <= 0.0 or common / trials >= target - half
+    target = 1.0 - (1.0 - delta) * q - z
     return FairnessEstimate(
         trials=trials,
         agreed_count=agreed,
@@ -214,10 +205,10 @@ def estimate_fairness(scenario: Scenario, trials: int, confidence: float = 0.99,
         interval=(lo, hi),
         half_width=half,
         target=target,
-        target_met=met,
+        target_met=lo >= target,
         live_count=live,
-        label=scenario.label,
-        seed=scenario.seed,
+        label=label,
+        seed=seed,
         rows=rows,
     )
 

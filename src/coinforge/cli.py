@@ -33,7 +33,9 @@ from .combinatorics import (
     VerificationBudgetError,
 )
 from .params import ParamError, Poly, derive_params, preset_cost, transform_cost
-from .simnet import StrategyViolation, dump_event_log, mix64, run_simulation
+# run_simulation is not called here (trials run in analysis.run_trials); it
+# stays a module attribute because perfbench patches cli.run_simulation by name
+from .simnet import StrategyViolation, dump_event_log, mix64, run_simulation  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PROPERTY = 2
@@ -162,26 +164,20 @@ def _check_record_log(cfg: ExperimentConfig, log=None):
         raise ParamError("record_log: true needs --log PATH (run-coin), the only place an event log is written")
 
 
-def _run_trials(cfg: ExperimentConfig, protocol_factory, check=None, log=None):
-    """Run cfg.trials trials; a `log` list receives trial 0's event log, and only it is recorded."""
+def _trials(cfg: ExperimentConfig, protocol, trials=None, log=None):
+    """The run's seeded trials (cfg.trials unless `trials` is given), each against a fresh
+    cfg.strategy, run lazily by analysis.run_trials; a `log` list receives trial 0's event log."""
     _check_record_log(cfg, log)
-    reports = []
-    failures = 0
-    for i in range(cfg.trials):
-        rep = run_simulation(
-            protocol_factory(), build_strategy(cfg.strategy), mix64(cfg.seed, 1000 + i),
-            mode=cfg.mode, t_budget=cfg.t, log=log if i == 0 else None)
-        reports.append(rep)
-        if check is not None and not check(rep):
-            failures += 1
-    return reports, failures
+    return analysis.run_trials(protocol, lambda: build_strategy(cfg.strategy), cfg.seed,
+                               cfg.trials if trials is None else trials, mode=cfg.mode, t_budget=cfg.t, log=log)
 
 
 def cmd_run_coin(args):
     cfg = _config_from_args(args)
     proto, dp = build_protocol(cfg)
     log = [] if args.log else None
-    reports, failures = _run_trials(cfg, lambda: proto, check=lambda r: r.all_honest_output, log=log)
+    reports = list(_trials(cfg, proto, log=log))
+    failures = sum(not r.all_honest_output for r in reports)
     agreed = sum(r.agreed for r in reports)
     results = {
         "trials": cfg.trials,
@@ -209,7 +205,8 @@ def cmd_run_crusader(args):
         vals = {o for o in outs if o != 2}
         return rep.all_honest_output and len(vals) <= 1
 
-    reports, failures = _run_trials(cfg, lambda: proto, check)
+    reports = list(_trials(cfg, proto))
+    failures = sum(not check(r) for r in reports)
     results = {"trials": cfg.trials, "violations": failures,
                "reports": [r.as_dict() for r in reports]}
     _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
@@ -232,7 +229,8 @@ def cmd_run_publish(args):
         return all(rep.outputs[i] is not None for i in range(layout.n)
                    if i not in {p for p, _ in rep.corruptions})
 
-    reports, failures = _run_trials(cfg, lambda: proto, check)
+    reports = list(_trials(cfg, proto))
+    failures = sum(not check(r) for r in reports)
     results = {"trials": cfg.trials, "liveness_failures": failures,
                "reports": [r.as_dict() for r in reports]}
     _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
@@ -242,21 +240,11 @@ def cmd_run_publish(args):
 
 def cmd_estimate_fairness(args):
     cfg = _config_from_args(args)
-    _check_record_log(cfg)
     proto, dp = build_protocol(cfg)
     q = dp.q if dp is not None else 1
-    scenario = analysis.Scenario(
-        make_protocol=lambda: proto,
-        make_strategy=lambda: build_strategy(cfg.strategy),
-        seed=cfg.seed,
-        delta=cfg.delta,
-        z=cfg.z,
-        q=q,
-        mode=cfg.mode,
-        t_budget=cfg.t,
-        label=cfg.protocol.get("kind", "transform"),
-    )
-    est = analysis.estimate_fairness(scenario, cfg.trials, cfg.confidence)
+    est = analysis.estimate_fairness(_trials(cfg, proto), delta=cfg.delta, z=cfg.z, q=q,
+                                     confidence=cfg.confidence, label=cfg.protocol.get("kind", "transform"),
+                                     seed=cfg.seed)
     _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, est.as_dict()))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -298,11 +286,9 @@ def cmd_cost_report(args):
 
 def cmd_leader(args):
     cfg = _config_from_args(args)
-    _check_record_log(cfg)
     cfg.protocol = {"kind": "multivalued", "ell": args.ell, "coin": cfg.protocol.get("coin", "ideal")}
     proto, dp = build_protocol(cfg)
-    rep = run_simulation(proto, build_strategy(cfg.strategy), mix64(cfg.seed, 1000),
-                         mode=cfg.mode, t_budget=cfg.t)
+    (rep,) = _trials(cfg, proto, trials=1)
     if not rep.agreed:
         print("leader: parties did not agree")
         return EXIT_PROPERTY

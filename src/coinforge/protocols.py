@@ -564,9 +564,6 @@ class _PublishMemberParty(_InputParty):
     def output(self):
         return self.sm.publish_output
 
-    def on_message(self, env):
-        return self.sm.on_msg(env.sender, env.kind, env.payload)
-
 
 class _PublishReceiverParty:
     __slots__ = ("sm",)

@@ -85,9 +85,6 @@ class Envelope:
         self.injected = injected
         self.dropped = False
 
-    def tag(self):
-        return (self.inst, KIND_NAMES[self.kind])
-
 
 @dataclass(frozen=True)
 class AdversaryAction:
@@ -213,11 +210,6 @@ class AdversaryView:
         # revealed at activation; a deliberately permissive (conservative) reading
         ci = self._sim.coin_instances[inst_index]
         return ci.g_drawn, ci.b_star
-
-    def party_state(self, pid):
-        if pid not in self._sim.corrupted:
-            raise StrategyViolation("honest party state is not observable")
-        return self._sim.parties[pid]
 
 
 @dataclass

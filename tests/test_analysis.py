@@ -6,26 +6,29 @@ import pytest
 
 from conftest import small_transform
 from coinforge.analysis import (
-    Scenario,
     audit_transcript,
     estimate_fairness,
+    run_trials,
     verify_anticoncentration,
     wilson_interval,
 )
+from coinforge.params import ParamError
 from coinforge.simnet import run_simulation
 from coinforge.strategies import FifoStrategy, RandomDelayStrategy
 
 
 def _scenario(delta=1.0, strategy=FifoStrategy, seed=0, **kw):
+    """(estimate, trials, cp, dp): `trials(count)` runs the small transform from `seed` and
+    `estimate(count)` folds those trials into a fairness estimate."""
     cp, dp, layout, graphs, proto = small_transform(delta=delta, **kw)
-    return Scenario(
-        make_protocol=lambda: proto,
-        make_strategy=strategy,
-        seed=seed,
-        delta=cp.delta,
-        z=cp.z,
-        q=dp.q,
-    ), cp, dp, layout
+
+    def trials(count):
+        return run_trials(proto, strategy, seed, count)
+
+    def estimate(count):
+        return estimate_fairness(trials(count), delta=cp.delta, z=cp.z, q=dp.q, seed=seed)
+
+    return estimate, trials, cp, dp
 
 
 # --- exact anti-concentration -------------------------------------------------
@@ -70,14 +73,16 @@ def test_wilson_input_validation():
         wilson_interval(1, 0)
     with pytest.raises(ValueError):
         wilson_interval(1, 10, 1.5)
+    with pytest.raises(ParamError):  # a ParamError, so the CLI reports it as a config error
+        wilson_interval(1, 10, 0.0)
 
 
 # --- fairness estimation --------------------------------------------------------
 
 
 def test_estimate_delta_one_honest():
-    scenario, cp, dp, _ = _scenario()
-    est = estimate_fairness(scenario, 300)
+    estimate, *_ = _scenario()
+    est = estimate(300)
     assert est.agreed_rate == 1.0
     assert est.rate == 1.0  # every trial matches the drawn majority bit
     assert est.undefined_bstar_count == 0
@@ -86,25 +91,25 @@ def test_estimate_delta_one_honest():
 
 
 def test_estimate_delta_zero_vacuous_target():
-    scenario, cp, dp, _ = _scenario(delta=1e-9)  # effectively never fair
-    est = estimate_fairness(scenario, 50)
+    estimate, *_ = _scenario(delta=1e-9)  # effectively never fair
+    est = estimate(50)
     assert est.target <= 0.0  # 1 - (1-delta)q - z is vacuous
     assert est.target_met  # auto-pass
     assert est.undefined_bstar_count == 50
 
 
 def test_estimate_reproducible_and_interval_shrinks():
-    scenario, *_ = _scenario(strategy=RandomDelayStrategy, seed=42)
-    a = estimate_fairness(scenario, 120)
-    b = estimate_fairness(scenario, 120)
+    estimate, *_ = _scenario(strategy=RandomDelayStrategy, seed=42)
+    a = estimate(120)
+    b = estimate(120)
     assert a.as_dict() == b.as_dict()
-    doubled = estimate_fairness(scenario, 240)
+    doubled = estimate(240)
     assert doubled.half_width <= a.half_width
 
 
 def test_estimate_exports():
-    scenario, *_ = _scenario()
-    est = estimate_fairness(scenario, 20)
+    estimate, *_ = _scenario()
+    est = estimate(20)
     doc = json.loads(est.to_json())
     assert doc["trials"] == 20
     table = est.to_table()
@@ -117,16 +122,15 @@ def test_estimate_exports():
 
 
 def test_audit_passes_honest_trials():
-    scenario, cp, dp, _ = _scenario(strategy=RandomDelayStrategy)
-    for i in range(40):
-        rep = scenario.run_trial(i)
+    _, trials, cp, dp = _scenario(strategy=RandomDelayStrategy)
+    for rep in trials(40):
         res = audit_transcript(rep, dp, n=cp.n, R=cp.R)
         assert res.passed, res.detail
 
 
 def test_audit_names_first_violated_term():
-    scenario, cp, dp, _ = _scenario()
-    rep = scenario.run_trial(0)
+    _, trials, cp, dp = _scenario()
+    (rep,) = trials(1)
     rep.msg_count_by_kind["PUB"] = 10**9
     res = audit_transcript(rep, dp, n=cp.n, R=cp.R)
     assert not res.passed and res.failed_term == "publish"

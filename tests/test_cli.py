@@ -285,19 +285,19 @@ _COIN_FLAGS = ("--n", "8", "--override-q", "5", "--override-s", "4", "--override
 
 
 def test_record_log_config_records_trial_zero_only(tmp_path, monkeypatch):
-    from coinforge import cli
+    from coinforge import analysis
 
     layout = _gen_layout(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"record_log": True}))
     calls = []
-    inner = cli.run_simulation
+    inner = analysis.run_simulation
 
     def spy(*args, **kw):
         calls.append((kw.get("record_log"), kw.get("log") is not None))
         return inner(*args, **kw)
 
-    monkeypatch.setattr(cli, "run_simulation", spy)
+    monkeypatch.setattr(analysis, "run_simulation", spy)
     logs = {}
     for name, extra in (("with_key", ("--config", str(cfg_path))), ("without_key", ())):
         log = tmp_path / f"{name}.ndjson"
