@@ -164,7 +164,10 @@ def estimate_fairness(reports, *, delta: float, z: float, q: int, confidence: fl
     outputs themselves. Trials without a defined b* are counted separately.
     The estimate passes when the Wilson lower edge clears the target
     1 - (1-delta)*q - z (the lower edge is >= 0, so a target <= 0 is vacuous).
+    A `confidence` outside (0, 1) is refused before the first report is drawn.
     """
+    if not (0.0 < confidence < 1.0):
+        raise ParamError(f"confidence must be in (0, 1), got {confidence}")
     agreed = 0
     common = 0
     undefined = 0

@@ -1,9 +1,15 @@
-"""Protocol state machines: crusader agreement, committee bit publishing, and
-the strong-coin-to-weak-coin transformation.
+"""Protocol state machines: crusader agreement, committee bit publishing, the
+committee coin, and the strong-coin-to-weak-coin transformation.
 
-All machines are pure transition objects: events (an input, an envelope, a
-coin output) go in, messages and at most one output come out. Scheduling,
-corruption and accounting live entirely in `simnet`.
+The party interface. A protocol gives `n`, `setup_trial(rng)` (the per-trial
+context, drawn from its own seeded stream) and `make_party(pid, ctx)`. A party
+gives `on_start()` and `on_message(env)`, each returning the
+(recipients, inst, kind, payload) batches to send, and `output`, None until it
+decides. `on_coin(inst, bit)` is called only on members of ideal coin
+instances. Every role below is a party: a standalone protocol's `make_party`
+returns the role itself, and the transformation party routes each envelope to
+the role of its committee. Scheduling, corruption and accounting live entirely
+in `simnet`.
 
 Crusader agreement (binary, tolerates t < s/3 inside a committee of size s):
   1. broadcast VAL(input);
@@ -42,15 +48,15 @@ def crusader_fault_bound(s: int) -> int:
 
 
 class CrusaderSM:
-    __slots__ = ("pid", "members", "members_set", "t_local", "inst",
+    __slots__ = ("members", "members_set", "t_local", "inst", "input",
                  "echo_senders", "relayed", "accepted", "aux_sent", "aux_from", "output")
 
-    def __init__(self, pid, members, t_local, inst):
-        self.pid = pid
+    def __init__(self, members, t_local, inst, input=None):
         self.members = members
         self.members_set = frozenset(members)
         self.t_local = t_local
         self.inst = inst
+        self.input = input
         self.echo_senders = (set(), set())
         self.relayed = [False, False]
         self.accepted = [False, False]
@@ -58,11 +64,14 @@ class CrusaderSM:
         self.aux_from = {}
         self.output = None
 
-    def start(self, b):
-        return [(self.members, self.inst, K_CRUS_VAL, b)]
+    def on_start(self):
+        if self.input is None:
+            return []
+        return [(self.members, self.inst, K_CRUS_VAL, self.input)]
 
-    def on_msg(self, sender, kind, payload):
+    def on_message(self, env):
         out = []
+        sender, kind, payload = env.sender, env.kind, env.payload
         if sender not in self.members_set or payload not in (0, 1):
             return out
         if kind == K_CRUS_VAL or kind == K_CRUS_RELAY:
@@ -100,36 +109,44 @@ class CrusaderSM:
 
 
 class PublishMemberSM:
-    """Member role: crusader, then one fan-out of the crusader output."""
+    """Member role: crusader, then one fan-out of the crusader output.
 
-    __slots__ = ("crusader", "receivers", "inst", "input", "pub_sent", "publish_output")
+    The output is the member's own input, taken when the fan-out is sent. A
+    crusader that finishes before the input is set (the member's coin is
+    late) fans out once all the same, and that member's output stays None.
+    """
 
-    def __init__(self, pid, members, t_local, inst, receivers):
-        self.crusader = CrusaderSM(pid, members, t_local, inst)
+    __slots__ = ("crusader", "receivers", "inst", "pub_sent", "output")
+
+    def __init__(self, members, t_local, inst, receivers, input=None):
+        self.crusader = CrusaderSM(members, t_local, inst, input)
         self.receivers = receivers
         self.inst = inst
-        self.input = None
         self.pub_sent = False
-        self.publish_output = None
+        self.output = None
+
+    def on_start(self):
+        return self.crusader.on_start()
 
     def set_input(self, b):
-        self.input = b
-        return self.crusader.start(b)
+        self.crusader.input = b
+        return self.crusader.on_start()
 
-    def on_msg(self, sender, kind, payload):
-        if kind == K_PUB:
+    def on_message(self, env):
+        if env.kind == K_PUB:
             return []  # member vertices never tally publish sends
-        msgs = self.crusader.on_msg(sender, kind, payload)
-        if self.crusader.output is not None and not self.pub_sent:
+        crusader = self.crusader
+        msgs = crusader.on_message(env)
+        if crusader.output is not None and not self.pub_sent:
             self.pub_sent = True
             if self.receivers:
-                msgs.append((self.receivers, self.inst, K_PUB, self.crusader.output))
-            self.publish_output = self.input
+                msgs.append((self.receivers, self.inst, K_PUB, crusader.output))
+            self.output = crusader.input
         return msgs
 
 
 class PublishReceiverSM:
-    __slots__ = ("neighbors", "delta", "seen", "c0", "c1", "output", "discarded")
+    __slots__ = ("neighbors", "delta", "seen", "c0", "c1", "output", "discarded_non_neighbor")
 
     def __init__(self, neighbors, delta):
         self.neighbors = neighbors
@@ -138,16 +155,20 @@ class PublishReceiverSM:
         self.c0 = 0
         self.c1 = 0
         self.output = None
-        self.discarded = 0
+        self.discarded_non_neighbor = 0
 
-    def on_pub(self, sender, payload):
-        if payload not in (0, 1, BOT):
-            return
+    def on_start(self):
+        return []
+
+    def on_message(self, env):
+        sender, payload = env.sender, env.payload
+        if env.kind != K_PUB or payload not in (0, 1, BOT):
+            return []
         if sender not in self.neighbors:
-            self.discarded += 1
-            return
+            self.discarded_non_neighbor += 1
+            return []
         if sender in self.seen:
-            return
+            return []
         self.seen.add(sender)
         if payload != 1:
             self.c0 += 1
@@ -161,31 +182,37 @@ class PublishReceiverSM:
                 self.output = 0
             elif hit1:
                 self.output = 1
+        return []
 
 
 class BenorSM:
     """Majority-of-generated-bits committee coin: broadcast, wait s - t, majority."""
 
-    __slots__ = ("members_set", "wait", "seen", "ones", "result")
+    __slots__ = ("members", "members_set", "inst", "bit", "wait", "seen", "ones", "output")
 
-    def __init__(self, members, t_local):
+    def __init__(self, members, t_local, inst, bit):
+        self.members = members
         self.members_set = frozenset(members)
+        self.inst = inst
+        self.bit = bit
         self.wait = len(members) - t_local
         self.seen = set()
         self.ones = 0
-        self.result = None
+        self.output = None
 
-    def on_coin_msg(self, sender, payload):
-        if self.result is not None or payload not in (0, 1) or sender not in self.members_set:
-            return None
-        if sender in self.seen:
-            return None
+    def on_start(self):
+        return [(self.members, self.inst, K_COIN, self.bit)]
+
+    def on_message(self, env):
+        sender, payload = env.sender, env.payload
+        if (env.kind != K_COIN or self.output is not None or payload not in (0, 1)
+                or sender not in self.members_set or sender in self.seen):
+            return []
         self.seen.add(sender)
         self.ones += payload
         if len(self.seen) == self.wait:
-            self.result = 1 if 2 * self.ones > self.wait else 0
-            return self.result
-        return None
+            self.output = 1 if 2 * self.ones > self.wait else 0
+        return []
 
 
 def ideal_strong_coin(inst: int, members: tuple[int, ...], delta: float, R: float,
@@ -222,11 +249,10 @@ def reverse_adjacency(committee, graph: PublishGraph) -> dict:
 
 
 class TransformParty:
-    __slots__ = ("pid", "proto", "base", "maj_inst", "member_pub", "recv_pub", "benor",
-                 "v0", "v1", "w0", "w1", "maj_sent", "seen_maj", "seen_pub", "output", "_bits")
+    __slots__ = ("proto", "base", "maj_inst", "member_pub", "recv_pub", "benor",
+                 "v0", "v1", "w0", "w1", "maj_sent", "seen_maj", "seen_pub", "output")
 
-    def __init__(self, pid, proto, bits, base=0, maj_inst=0):
-        self.pid = pid
+    def __init__(self, pid, proto, ctx, base=0, maj_inst=0):
         self.proto = proto
         self.base = base  # global instance id of this coin group's committee 0
         self.maj_inst = maj_inst
@@ -236,9 +262,9 @@ class TransformParty:
         for j in range(proto.q):
             if pid in proto.member_sets[j]:
                 self.member_pub[j] = PublishMemberSM(
-                    pid, proto.committees[j], proto.t_local, base + j, proto.receivers_of[j][pid])
+                    proto.committees[j], proto.t_local, base + j, proto.receivers_of[j][pid])
                 if proto.coin_mode == "benor":
-                    self.benor[j] = BenorSM(proto.committees[j], proto.t_local)
+                    self.benor[j] = BenorSM(proto.committees[j], proto.t_local, base + j, ctx[(base + j, pid)])
             else:
                 self.recv_pub[j] = PublishReceiverSM(proto.neighbor_sets[j][pid], proto.delta_cap)
         self.v0 = self.v1 = self.w0 = self.w1 = 0
@@ -246,27 +272,16 @@ class TransformParty:
         self.seen_maj = set()
         self.seen_pub = set()
         self.output = None
-        self._bits = bits
 
     def on_start(self):
-        if self.proto.coin_mode != "benor":
-            return []
-        return [(self.proto.committees[j], self.base + j, K_COIN, self._bits[(self.base + j, self.pid)])
-                for j in sorted(self.benor)]
+        return [msg for sm in self.benor.values() for msg in sm.on_start()]
 
     def on_coin(self, inst, bit):
-        j = inst - self.base
-        sm = self.member_pub.get(j)
-        if sm is None or sm.input is not None:
+        # the member's publish output is taken from a later crusader message, never here
+        sm = self.member_pub.get(inst - self.base)
+        if sm is None or sm.crusader.input is not None:
             return []
-        msgs = sm.set_input(bit)
-        return msgs + self._member_done(j)
-
-    def _member_done(self, j):
-        sm = self.member_pub[j]
-        if sm.publish_output is not None and j not in self.seen_pub:
-            return self._pub_output(j, sm.publish_output)
-        return []
+        return sm.set_input(bit)
 
     def _pub_output(self, j, b):
         self.seen_pub.add(j)
@@ -297,27 +312,25 @@ class TransformParty:
             return []
         if kind == K_PUB:
             sm = self.recv_pub.get(j)
-            if sm is not None:
-                sm.on_pub(env.sender, env.payload)
-                if sm.output is not None and j not in self.seen_pub:
-                    return self._pub_output(j, sm.output)
+        elif kind == K_COIN:
+            sm = self.benor.get(j)
+            if sm is not None and sm.output is None:
+                sm.on_message(env)
+                if sm.output is not None:
+                    return self.on_coin(env.inst, sm.output)
             return []
-        if kind == K_COIN:
-            bsm = self.benor.get(j)
-            if bsm is not None:
-                bit = bsm.on_coin_msg(env.sender, env.payload)
-                if bit is not None:
-                    return self.on_coin(env.inst, bit)
-            return []
-        sm = self.member_pub.get(j)
+        else:
+            sm = self.member_pub.get(j)
         if sm is None:
             return []
-        msgs = sm.on_msg(env.sender, kind, env.payload)
-        return msgs + self._member_done(j)
+        msgs = sm.on_message(env)
+        if sm.output is not None and j not in self.seen_pub:
+            return msgs + self._pub_output(j, sm.output)
+        return msgs
 
     @property
     def discarded_non_neighbor(self):
-        return sum(sm.discarded for sm in self.recv_pub.values())
+        return sum(sm.discarded_non_neighbor for sm in self.recv_pub.values())
 
 
 class TransformProtocol:
@@ -374,12 +387,14 @@ class TransformProtocol:
             ]
 
     def setup_trial(self, rng: random.Random):
-        """Benor-mode members' generated bits, in `coin_specs` order (MultiTransformProtocol too)."""
+        """Benor-mode members' generated bits, in `coin_specs` order; shared by
+        MultiTransformProtocol and BenorCoinProtocol."""
         if self.coin_mode != "benor":
             return None
         return {(spec.inst, m): rng.getrandbits(1) for spec in self.coin_specs for m in spec.members}
 
     def benor_truth(self, ctx, spec, corrupted):
+        """(fair, b*) of one benor instance from its honest members' generated bits."""
         return benor_ground_truth(
             [ctx[(spec.inst, m)] for m in spec.members if m not in corrupted],
             len(spec.members), spec.t_local)
@@ -464,6 +479,7 @@ class MultiTransformProtocol:
         self.tag_space = base.q * ell
         self.maj_tag_space = ell
         self.layout = base.layout
+        self.alpha = base.alpha
         self.coin_specs = [
             CoinSpec(e * base.q + spec.inst, spec.members, spec.delta, spec.R,
                      spec.bad_threshold, mode=spec.mode, t_local=spec.t_local)
@@ -472,9 +488,7 @@ class MultiTransformProtocol:
         ]
 
     setup_trial = TransformProtocol.setup_trial
-
-    def benor_truth(self, ctx, spec, corrupted):
-        return self.base.benor_truth(ctx, spec, corrupted)
+    benor_truth = TransformProtocol.benor_truth
 
     def make_party(self, pid, ctx):
         return MultiParty(pid, self, ctx)
@@ -510,29 +524,6 @@ def benor_ground_truth(honest_bits, s: int, t_local: int):
 # --- standalone factories ----------------------------------------------------
 
 
-class _InputParty:
-    """Wraps one SM whose input is fixed at activation."""
-
-    __slots__ = ("sm", "input")
-
-    def __init__(self, sm, value):
-        self.sm = sm
-        self.input = value
-
-    def on_start(self):
-        return self.sm.start(self.input) if self.input is not None else []
-
-    def on_message(self, env):
-        return self.sm.on_msg(env.sender, env.kind, env.payload)
-
-    def on_coin(self, inst, bit):
-        return []
-
-    @property
-    def output(self):
-        return self.sm.output
-
-
 class CrusaderProtocol:
     """s parties running one crusader instance on given inputs.
 
@@ -553,42 +544,7 @@ class CrusaderProtocol:
         return list(self.inputs(rng)) if callable(self.inputs) else list(self.inputs)
 
     def make_party(self, pid, ctx):
-        return _InputParty(CrusaderSM(pid, self.members, self.t_local, 0), ctx[pid])
-
-
-class _PublishMemberParty(_InputParty):
-    def on_start(self):
-        return self.sm.set_input(self.input) if self.input is not None else []
-
-    @property
-    def output(self):
-        return self.sm.publish_output
-
-
-class _PublishReceiverParty:
-    __slots__ = ("sm",)
-
-    def __init__(self, sm):
-        self.sm = sm
-
-    def on_start(self):
-        return []
-
-    def on_message(self, env):
-        if env.kind == K_PUB:
-            self.sm.on_pub(env.sender, env.payload)
-        return []
-
-    def on_coin(self, inst, bit):
-        return []
-
-    @property
-    def output(self):
-        return self.sm.output
-
-    @property
-    def discarded_non_neighbor(self):
-        return self.sm.discarded
+        return CrusaderSM(self.members, self.t_local, 0, ctx[pid])
 
 
 class PublishProtocol:
@@ -612,37 +568,14 @@ class PublishProtocol:
 
     def make_party(self, pid, ctx):
         if pid in self.member_set:
-            sm = PublishMemberSM(pid, self.committee, self.t_local, 0, self.receivers_of[pid])
-            return _PublishMemberParty(sm, ctx[pid])
-        return _PublishReceiverParty(PublishReceiverSM(frozenset(self.graph.adjacency[pid]), self.delta_cap))
-
-
-class _BenorParty:
-    __slots__ = ("pid", "members", "sm", "bit", "output")
-
-    def __init__(self, pid, members, sm, bit):
-        self.pid = pid
-        self.members = members
-        self.sm = sm
-        self.bit = bit
-        self.output = None
-
-    def on_start(self):
-        return [(self.members, 0, K_COIN, self.bit)]
-
-    def on_message(self, env):
-        if env.kind == K_COIN:
-            result = self.sm.on_coin_msg(env.sender, env.payload)
-            if result is not None:
-                self.output = result
-        return []
-
-    def on_coin(self, inst, bit):
-        return []
+            return PublishMemberSM(self.committee, self.t_local, 0, self.receivers_of[pid], ctx[pid])
+        return PublishReceiverSM(frozenset(self.graph.adjacency[pid]), self.delta_cap)
 
 
 class BenorCoinProtocol:
     """Standalone majority-bit committee coin among s parties."""
+
+    coin_mode = "benor"
 
     def __init__(self, s: int, t_local: int):
         self.n = s
@@ -650,14 +583,10 @@ class BenorCoinProtocol:
         self.members = tuple(range(s))
         self.tag_space = 1
         self.maj_tag_space = 1
-        self.coin_specs = (CoinSpec(0, self.members, 1.0, 1.0, math.inf, mode="benor", t_local=t_local),)
+        self.coin_specs = (benor_strong_coin(0, self.members, t_local),)
 
-    def setup_trial(self, rng):
-        return {(0, m): rng.getrandbits(1) for m in self.members}
-
-    def benor_truth(self, ctx, spec, corrupted):
-        return benor_ground_truth(
-            [ctx[(0, m)] for m in spec.members if m not in corrupted], self.n, self.t_local)
+    setup_trial = TransformProtocol.setup_trial
+    benor_truth = TransformProtocol.benor_truth
 
     def make_party(self, pid, ctx):
-        return _BenorParty(pid, self.members, BenorSM(self.members, self.t_local), ctx[(0, pid)])
+        return BenorSM(self.members, self.t_local, 0, ctx[(0, pid)])

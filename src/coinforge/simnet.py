@@ -40,6 +40,7 @@ BOT = 2  # wire encoding of the crusader "no common value" output
 DEADLINE = 1.0  # honest-sender force-delivery horizon
 MIN_DELAY = 1.0 / 256.0
 DEFAULT_STEP_BUDGET = 100_000
+MAX_EVENTS = 100_000_000  # a run past this many events is not quiescing
 
 _MIX = 0x9E3779B97F4A7C15
 _MASK = (1 << 63) - 1
@@ -137,15 +138,15 @@ class CoinSpec:
 
 
 class CoinInstance:
-    """Per-trial state of one committee coin oracle."""
+    """Per-trial state of one committee coin oracle. Every instance activates
+    at time 0, so its output offsets are absolute times."""
 
-    __slots__ = ("spec", "g_drawn", "b_star", "activation", "effective", "assigned", "offsets", "output_times")
+    __slots__ = ("spec", "g_drawn", "b_star", "effective", "assigned", "offsets", "output_times")
 
-    def __init__(self, spec, g_drawn, b_star, activation=0.0):
+    def __init__(self, spec, g_drawn, b_star):
         self.spec = spec
         self.g_drawn = g_drawn
         self.b_star = b_star
-        self.activation = activation
         self.effective = None  # resolved lazily against the corruption set
         self.assigned = {}  # member -> bit, used when not effective
         self.offsets = {}  # member -> scheduled offset
@@ -265,7 +266,6 @@ class Simulation:
         t_budget: int = 0,
         record_log: bool = False,
         step_budget: int = DEFAULT_STEP_BUDGET,
-        max_events: int = 100_000_000,
     ):
         if mode not in ("secure", "full_info"):
             raise ParamError("mode must be 'secure' or 'full_info'")
@@ -276,7 +276,6 @@ class Simulation:
         self.t_budget = t_budget
         self.record_log = record_log
         self.step_budget = step_budget
-        self.max_events = max_events
 
         self.n = protocol.n
         self.rng = random.Random(mix64(seed, 0))
@@ -457,12 +456,11 @@ class Simulation:
                     raise StrategyViolation("cannot assign outputs of a fair coin instance")
                 ci.assigned[member] = act.bit
             if act.time is not None:
-                off = act.time - ci.activation
-                if not (0.0 < off <= ci.spec.R):
-                    raise StrategyViolation("coin output time outside (activation, activation+R]")
+                if not (0.0 < act.time <= ci.spec.R):
+                    raise StrategyViolation("coin output time outside (0, R]")
                 if member in ci.output_times:
                     raise StrategyViolation("coin output already delivered")
-                ci.offsets[member] = off
+                ci.offsets[member] = act.time
                 self._push(act.time, 1, (act.instance, member))
         else:
             raise StrategyViolation(f"unknown action kind {kind!r}")
@@ -481,15 +479,15 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------------
 
-    def run(self, stop=None) -> TrialReport:
+    def run(self) -> TrialReport:
         try:
-            return self._run(stop)
+            return self._run()
         finally:
             # drop the view's back-reference: a finished run holds no sim <-> view
             # cycle, so it is freed by reference counting, even if a strategy kept the view
             self.view._sim = None
 
-    def _run(self, stop):
+    def _run(self):
         strategy = self.strategy
         # looked up here, not in __init__, so a per-instance wrapper set after
         # construction is the one that runs
@@ -505,10 +503,10 @@ class Simulation:
         heap, envelopes, sched = self._heap, self.envelopes, self._sched
         corrupted, parties, output_times = self.corrupted, self.parties, self.output_times
         sender_max_delay = self._sender_max_delay
-        record_log, max_events = self.record_log, self.max_events
+        record_log = self.record_log
         while heap:
             self.events += 1
-            if self.events > max_events:
+            if self.events > MAX_EVENTS:
                 raise RuntimeError("event budget exhausted; protocol likely not quiescing")
             t, _, etype, arg = heappop(heap)
             if etype == 0:
@@ -541,7 +539,7 @@ class Simulation:
                 self.now = t
                 if member in ci.output_times or member in corrupted:
                     continue
-                if ci.offsets.get(member) is not None and ci.activation + ci.offsets[member] != t:
+                if ci.offsets.get(member) is not None and ci.offsets[member] != t:
                     continue  # re-timed; stale entry
                 fair = ci.resolve(corrupted)
                 if fair:
@@ -561,8 +559,6 @@ class Simulation:
             if reactive:
                 self._adversary_phase()
                 reactive = strategy.reactive
-            if stop is not None and stop(self):
-                break
         return self._report()
 
     # -- reporting ---------------------------------------------------------------
@@ -592,7 +588,7 @@ class Simulation:
         pairs = []  # (fair, b_star) across ideal and benor instances
         for ci in self.coin_instances:
             eff = ci.resolve(self.corrupted)
-            max_off = max((t - ci.activation for m, t in ci.output_times.items() if m not in self.corrupted),
+            max_off = max((t for m, t in ci.output_times.items() if m not in self.corrupted),
                           default=None)
             if max_off is not None and max_off > ci.spec.R * max_delay:
                 coin_live = False
@@ -648,8 +644,8 @@ class Simulation:
         )
 
 
-def run_simulation(protocol, strategy, seed: int, stop=None, log=None, **kw) -> TrialReport:
-    """Build one Simulation, run it to quiescence (or `stop`), return the report.
+def run_simulation(protocol, strategy, seed: int, log=None, **kw) -> TrialReport:
+    """Build one Simulation, run it to quiescence, return the report.
 
     Given a list as `log`, the run records its event log and appends it there.
 
@@ -664,7 +660,7 @@ def run_simulation(protocol, strategy, seed: int, stop=None, log=None, **kw) -> 
     gc.disable()
     try:
         sim = Simulation(protocol, strategy, seed, **kw)
-        report = sim.run(stop)
+        report = sim.run()
         if log is not None:
             log.extend(sim.log)
         del sim  # freed here, before the collector can run again

@@ -29,7 +29,8 @@ Built-ins (all deterministic given their bound seed):
                      so uniformly rescaling by powers of two is lossless).
   committee_targeter corrupts ceil(alpha*s) members of each named committee,
                      lowest ids first, dropping their in-flight messages;
-                     overdrawing the corruption budget faults the strategy.
+                     overdrawing the corruption budget faults the strategy,
+                     and so does a protocol without a committee layout.
   publish_delayer    holds publish fan-out messages toward a receiver fraction
                      at the deadline, everything else travels faster.
   benor_biaser       full-information attack on the majority-bit coin: corrupt
@@ -119,6 +120,11 @@ class CommitteeTargeterStrategy(Strategy):
     @classmethod
     def from_args(cls, args):
         return cls([int(a) for a in args])
+
+    def bind(self, sim, rng):
+        if getattr(sim.protocol, "layout", None) is None:
+            raise StrategyViolation("committee_targeter needs a protocol with a committee layout")
+        super().bind(sim, rng)
 
     def _plan(self, view):
         proto = view.protocol

@@ -11,7 +11,7 @@ from coinforge.cli import main
 from coinforge.combinatorics import gen_publish_graph
 from coinforge.config import build_strategy, parse_strategy_spec
 from coinforge.params import publish_degree
-from coinforge.protocols import BenorCoinProtocol, CrusaderProtocol, PublishProtocol
+from coinforge.protocols import BenorCoinProtocol, CrusaderProtocol, MultiTransformProtocol, PublishProtocol
 from coinforge.simnet import (
     AdversaryAction,
     K_MAJ,
@@ -35,6 +35,7 @@ def _publish_protocol():
 def _scenarios():
     """name -> (protocol, strategy factory, Simulation keywords)."""
     transform = small_transform()[-1]
+    benor_transform = small_transform(coin_mode="benor", layout_seed=17)[-1]
     return {
         "fifo": (transform, FifoStrategy, {}),
         "random_delay": (transform, RandomDelayStrategy, {}),
@@ -50,6 +51,8 @@ def _scenarios():
                                lambda: ScriptedByzantine([3], random_crusader_behavior, base_delay=None),
                                {"t_budget": 1}),
         "publish_corrupter": (_publish_protocol(), lambda: PublishCorrupter([0, 1]), {"t_budget": 2}),
+        "benor_transform": (benor_transform, RandomDelayStrategy, {}),
+        "benor_multitoss": (MultiTransformProtocol(benor_transform, 3), FifoStrategy, {}),
     }
 
 
@@ -83,6 +86,12 @@ GOLDEN = {
                            "199f8fd59ee8cc398bbe995168ccf4b495d2214cd552ebec7eabbe1c8b32db34"),
     "publish_corrupter": ("026301f30ea9adfee9223f16766cc5d580e78242c1d82365a4352d634508d842",
                           "5fa8e57be9a0b398f5ef961162ad6918264a116d332320dfc3f8c754e6ef164f"),
+    # the two benor entries pin the real-traffic committee coin inside the
+    # transformation and the multi-bit toss
+    "benor_transform": ("8d7d6d356b14cad42be3cda887add2521909df3f035085936e94da489a0841d2",
+                        "99edaa56034e4eef52efe79baef3c0513eaa12c32568d0754f1d4950f3c2b6da"),
+    "benor_multitoss": ("e5ff76b4910eeb32b4a0c94cdc42477588a847cb7390f23bcefb90bb3416ac03",
+                        "95cd952a85ed7e158d4ca07b46a97c65c332dbece065dcdd800e06443bad8123"),
 }
 
 

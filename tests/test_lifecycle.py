@@ -85,21 +85,31 @@ class OverBudget(Strategy):
         return AdversaryAction.corrupt(0)
 
 
+class CollectorProbe(RandomDelayStrategy):
+    """Stays reactive, so it is polled after every event; records whether the collector is on."""
+
+    reactive = True
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def next_action(self, view):
+        self.seen.append(gc.isenabled())
+        return None
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_run_simulation_restores_collector_state(enabled):
     transform = small_transform()[-1]
     was_enabled = gc.isenabled()
-    seen = []
-
-    def stop(sim):
-        seen.append(gc.isenabled())
-        return False
-
+    probe = CollectorProbe()
     try:
         (gc.enable if enabled else gc.disable)()
-        run_simulation(transform, RandomDelayStrategy(), mix64(1, 1000), stop=stop)
+        rep = run_simulation(transform, probe, mix64(1, 1000))
         assert gc.isenabled() is enabled
-        assert seen and not any(seen)  # paused for every event of the trial
+        # polled once before the first event and after every event, paused at each
+        assert len(probe.seen) == rep.events + 1 and not any(probe.seen)
         with pytest.raises(StrategyViolation):
             run_simulation(transform, OverBudget(), mix64(1, 1000), t_budget=0)
         assert gc.isenabled() is enabled

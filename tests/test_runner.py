@@ -6,7 +6,7 @@ import pytest
 
 from conftest import small_transform
 from coinforge import analysis
-from coinforge.analysis import run_trials
+from coinforge.analysis import estimate_fairness, run_trials
 from coinforge.cli import main
 from coinforge.params import ParamError
 from coinforge.simnet import dump_event_log, mix64, report_json, run_simulation
@@ -157,3 +157,29 @@ def test_bad_trials_or_confidence_is_a_config_error(argv, layout_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
     assert not (layout_dir / "out.json").exists()
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5])
+def test_estimate_fairness_refuses_confidence_before_drawing_a_report(confidence):
+    def reports():
+        raise AssertionError("a report was drawn")
+        yield
+
+    with pytest.raises(ParamError):
+        estimate_fairness(reports(), delta=1.0, z=0.3, q=5, confidence=confidence)
+
+
+# --- committee_targeter outside a plain transformation --------------------------------
+
+
+@pytest.mark.parametrize("argv,out,err", [
+    # every targeted committee loses its crusader liveness at this desk scale, so nobody outputs
+    (["leader", "--layout", "layout.json", *FLAGS, "--strategy", "committee_targeter:0", "--t", "2"],
+     "leader: parties did not agree\n", ""),
+    (["run-crusader", "--s", "4", "--t", "1", "--strategy", "committee_targeter:0"],
+     "", "failure: committee_targeter needs a protocol with a committee layout\n"),
+], ids=["leader", "run-crusader"])
+def test_committee_targeter_outside_a_transform_is_a_property_failure(argv, out, err, layout_dir, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == (out, err)
