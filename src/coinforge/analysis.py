@@ -231,9 +231,6 @@ class AuditResult:
     def as_dict(self) -> dict:
         return {"passed": self.passed, "failed_term": self.failed_term, "detail": self.detail}
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True) + "\n"
-
 
 def audit_transcript(report: TrialReport, dp: DerivedParams, n: int, R: float,
                      coin_cap: float = 0.0, instances: int = 1) -> AuditResult:

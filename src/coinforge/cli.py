@@ -74,6 +74,13 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--out")
 
 
+def _add_trial_flags(p: argparse.ArgumentParser, trials: bool = True):
+    p.add_argument("--strategy", default=None)
+    if trials:
+        p.add_argument("--trials", type=int)
+    p.add_argument("--mode", choices=["secure", "full_info"])
+
+
 def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "config", None):
         cfg = ExperimentConfig.from_file(args.config)
@@ -92,18 +99,18 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg.layout_path = args.layout
     if getattr(args, "strategy", None):
         cfg.strategy = parse_strategy_spec(args.strategy)
-    if getattr(args, "protocol_kind", None):
-        cfg.protocol["kind"] = args.protocol_kind
     if getattr(args, "coin", None):
         cfg.protocol["coin"] = args.coin
-    if getattr(args, "ell", None):
-        cfg.protocol["ell"] = args.ell
     return cfg
+
+
+def _derived(cfg: ExperimentConfig):
+    return derive_params(cfg.coin_params(), cfg.overrides or None)
 
 
 def cmd_derive(args):
     cfg = _config_from_args(args)
-    dp = derive_params(cfg.coin_params(), cfg.overrides or None)
+    dp = _derived(cfg)
     print(f"q={dp.q} z'={dp.z_prime:.6g} c={dp.c} s={dp.s} d={dp.d} "
           f"delta_cap={dp.delta_cap} live={dp.live_threshold} out={dp.output_threshold}"
           + (f" overridden={list(dp.overridden)}" if dp.overridden else ""))
@@ -113,8 +120,7 @@ def cmd_derive(args):
 
 def cmd_gen_committees(args):
     cfg = _config_from_args(args)
-    cp = cfg.coin_params()
-    dp = derive_params(cp, cfg.overrides or None)
+    dp = _derived(cfg)
     layout = combinatorics.gen_committees(
         cfg.n, dp.q, dp.s, cfg.alpha, cfg.epsilon, dp.c, cfg.seed, args.verify)
     doc = combinatorics.layout_document(layout)
@@ -127,8 +133,7 @@ def cmd_gen_committees(args):
 def cmd_gen_graphs(args):
     cfg = _config_from_args(args)
     layout, _ = load_layout_file(args.layout)
-    cp = cfg.coin_params()
-    dp = derive_params(cp, cfg.overrides or None)
+    dp = _derived(cfg)
     graphs = []
     for j, committee in enumerate(layout.committees):
         graphs.append(combinatorics.gen_publish_graph(
@@ -143,8 +148,7 @@ def cmd_gen_graphs(args):
 def cmd_verify(args):
     cfg = _config_from_args(args)
     layout, graphs = load_layout_file(args.layout)
-    cp = cfg.coin_params()
-    dp = derive_params(cp, cfg.overrides or None)
+    dp = _derived(cfg)
     res = combinatorics.verify_committees(layout, None, cfg.alpha, cfg.epsilon, dp.c, args.mode)
     results = {"committees": {"passed": res.passed, "witness": res.witness, "checks": res.checks}}
     ok = res.passed
@@ -172,25 +176,30 @@ def _trials(cfg: ExperimentConfig, protocol, trials=None, log=None):
                                cfg.trials if trials is None else trials, mode=cfg.mode, t_budget=cfg.t, log=log)
 
 
+def _finish_trials(name, cfg: ExperimentConfig, reports, failures_key="liveness_failures",
+                   failed=lambda rep: not rep.all_honest_output, **counts):
+    """Write a trial command's counts and reports to --out and print its summary line.
+
+    `failed(report)` marks the trials counted under `failures_key` (by default
+    those where an honest party has no output), which follows the other
+    `counts` in the summary; any such trial exits 2.
+    """
+    failures = counts[failures_key] = sum(failed(r) for r in reports)
+    results = {"trials": cfg.trials, **counts, "reports": [r.as_dict() for r in reports]}
+    _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
+    print(f"{name}: trials={cfg.trials} " + " ".join(f"{k}={v}" for k, v in counts.items()))
+    return EXIT_OK if failures == 0 else EXIT_PROPERTY
+
+
 def cmd_run_coin(args):
     cfg = _config_from_args(args)
     proto, dp = build_protocol(cfg)
     log = [] if args.log else None
     reports = list(_trials(cfg, proto, log=log))
-    failures = sum(not r.all_honest_output for r in reports)
-    agreed = sum(r.agreed for r in reports)
-    results = {
-        "trials": cfg.trials,
-        "agreed": agreed,
-        "liveness_failures": failures,
-        "reports": [r.as_dict() for r in reports],
-    }
-    _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
     if args.log:
         with open(args.log, "w", encoding="utf-8") as fh:
             fh.write(dump_event_log(log))
-    print(f"run-coin: trials={cfg.trials} agreed={agreed} liveness_failures={failures}")
-    return EXIT_OK if failures == 0 else EXIT_PROPERTY
+    return _finish_trials("run-coin", cfg, reports, agreed=sum(r.agreed for r in reports))
 
 
 def cmd_run_crusader(args):
@@ -200,42 +209,26 @@ def cmd_run_crusader(args):
         cfg.protocol["t_local"] = args.t_local
     proto, _ = build_protocol(cfg)
 
-    def check(rep):
-        outs = [o for o in rep.outputs if o is not None]
-        vals = {o for o in outs if o != 2}
-        return rep.all_honest_output and len(vals) <= 1
+    def violated(rep):  # an honest party without output, or two distinct non-bot outputs
+        return not rep.all_honest_output or len({o for o in rep.outputs if o not in (None, 2)}) > 1
 
-    reports = list(_trials(cfg, proto))
-    failures = sum(not check(r) for r in reports)
-    results = {"trials": cfg.trials, "violations": failures,
-               "reports": [r.as_dict() for r in reports]}
-    _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
-    print(f"run-crusader: trials={cfg.trials} violations={failures}")
-    return EXIT_OK if failures == 0 else EXIT_PROPERTY
+    return _finish_trials("run-crusader", cfg, list(_trials(cfg, proto)), "violations", violated)
 
 
 def cmd_run_publish(args):
     cfg = _config_from_args(args)
     layout, graphs = load_layout_file(args.layout)
+    graph = next((g for g in graphs if g.committee_id == args.committee), None)
+    if graph is None:
+        raise ParamError(f"--committee {args.committee}: the layout has no publish graph with that "
+                         f"committee_id (committees are 0..{layout.q - 1})")
     committee = layout.committees[args.committee]
-    graph = graphs[args.committee]
     if args.split:
         inputs = lambda rng: {m: rng.getrandbits(1) for m in committee}
     else:
         inputs = {m: args.common_bit for m in committee}
     proto = protocols.PublishProtocol(committee, layout.n, graph, inputs)
-
-    def check(rep):
-        return all(rep.outputs[i] is not None for i in range(layout.n)
-                   if i not in {p for p, _ in rep.corruptions})
-
-    reports = list(_trials(cfg, proto))
-    failures = sum(not check(r) for r in reports)
-    results = {"trials": cfg.trials, "liveness_failures": failures,
-               "reports": [r.as_dict() for r in reports]}
-    _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
-    print(f"run-publish: trials={cfg.trials} liveness_failures={failures}")
-    return EXIT_OK if failures == 0 else EXIT_PROPERTY
+    return _finish_trials("run-publish", cfg, list(_trials(cfg, proto)))
 
 
 def cmd_estimate_fairness(args):
@@ -289,6 +282,9 @@ def cmd_leader(args):
     cfg.protocol = {"kind": "multivalued", "ell": args.ell, "coin": cfg.protocol.get("coin", "ideal")}
     proto, dp = build_protocol(cfg)
     (rep,) = _trials(cfg, proto, trials=1)
+    if all(o is None for o in rep.outputs):
+        print("leader: no honest output")  # a liveness failure, not a disagreement
+        return EXIT_PROPERTY
     if not rep.agreed:
         print("leader: parties did not agree")
         return EXIT_PROPERTY
@@ -329,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-coin", help="run transformed-coin trials")
     _add_param_flags(p)
     p.add_argument("--layout", required=False)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mode", choices=["secure", "full_info"])
+    _add_trial_flags(p)
     p.add_argument("--coin", choices=["ideal", "benor"])
     p.add_argument("--log", help="write an event log (NDJSON) for trial 0")
     p.set_defaults(func=cmd_run_coin)
@@ -341,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t-local", type=int, dest="t_local")
     p.add_argument("--inputs", default="random")
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mode", choices=["secure", "full_info"])
+    _add_trial_flags(p)
     p.set_defaults(func=cmd_run_crusader)
 
     p = sub.add_parser("run-publish", help="run standalone publish trials")
@@ -352,18 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--committee", type=int, default=0)
     p.add_argument("--common-bit", type=int, choices=[0, 1], default=1, dest="common_bit")
     p.add_argument("--split", action="store_true", help="random per-member inputs")
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--mode", choices=["secure", "full_info"])
+    _add_trial_flags(p)
     p.set_defaults(func=cmd_run_publish)
 
     p = sub.add_parser("estimate-fairness", help="statistical fairness estimate")
     _add_param_flags(p)
     p.add_argument("--layout")
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--trials", type=int)
+    _add_trial_flags(p)
     p.add_argument("--confidence", type=float)
-    p.add_argument("--mode", choices=["secure", "full_info"])
     p.add_argument("--coin", choices=["ideal", "benor"])
     p.add_argument("--csv", help="per-trial CSV output path")
     p.set_defaults(func=cmd_estimate_fairness)
@@ -386,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p)
     p.add_argument("--layout", required=False)
     p.add_argument("--ell", type=int, default=4)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--mode", choices=["secure", "full_info"])
+    _add_trial_flags(p, trials=False)
     p.set_defaults(func=cmd_leader)
 
     return top

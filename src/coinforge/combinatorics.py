@@ -10,11 +10,14 @@ Two combinatorial objects back the protocol:
     no fault set B ⊂ Q of size ceil(s/3)-1 gives d or more receivers at least
     Delta/2 neighbors in B.
 
-Both are produced Las-Vegas style: sample uniformly, verify, resample on
-failure. Sampling is a partial Fisher-Yates shuffle, which matches the
-hypergeometric analysis behind the failure bounds. Committees are public,
-deterministic objects fixed before any execution; the adversary never
-influences generation.
+Both caps are one property: no b-subset B of a universe gives cap or more
+rows threshold or more members in B. Each verifier checks its own input and
+vacuous cases, then hands its rows to one cap check (`_cap_check`). Both
+objects come from one Las-Vegas loop (`_las_vegas`): sample uniformly,
+verify, resample on failure, one Random(seed) feeding draws and verifier.
+Sampling is a partial Fisher-Yates shuffle, which matches the hypergeometric
+analysis behind the failure bounds. Committees are public, deterministic
+objects fixed before any execution; the adversary never influences generation.
 
 Verification modes: "exhaustive" enumerates every maximal-size B (maximality
 suffices by monotonicity), "sampled" draws uniform sets plus one greedy
@@ -236,6 +239,37 @@ def _sampled_scan(rows, universe, size, threshold, cap, rng, trials):
     return None, len(candidates) * len(rows)
 
 
+def _cap_check(rows, universe, size, threshold, cap, mode, rng, sample_trials, check_budget) -> VerifyResult:
+    """Whether no size-subset B of the sorted `universe` gives cap or more `rows`
+    threshold or more members in B; exhaustive scans past check_budget
+    (B, row) checks are refused, sampled ones draw from rng or Random(0)."""
+    if size == 0:
+        return VerifyResult(True, mode, enumerated=False, note="fault sets are empty")
+    if mode == "exhaustive":
+        total = math.comb(len(universe), size) * len(rows)
+        if total > check_budget:
+            raise VerificationBudgetError(
+                f"verification infeasible, use sampled: {total} checks exceed budget {check_budget}"
+            )
+        witness, checks = _scan(rows, universe, size, threshold, cap)
+    else:
+        witness, checks = _sampled_scan(rows, universe, size, threshold, cap,
+                                        rng or random.Random(0), sample_trials)
+    return VerifyResult(witness is None, mode, witness=witness, checks=checks)
+
+
+def _las_vegas(what, seed, max_attempts, draw, verify):
+    """(object, attempt) of the first draw(rng) that verify(object, rng) passes,
+    one Random(seed) feeding both; the callables look up `sample_without_replacement`
+    and `verify_*` in this module at call time, so a wrapper set there sees each call."""
+    rng = random.Random(seed)
+    for attempt in range(1, max_attempts + 1):
+        candidate = draw(rng)
+        if verify(candidate, rng).passed:
+            return candidate, attempt
+    raise GenerationError(f"no acceptable {what} within {max_attempts} resamples (seed {seed})")
+
+
 # --- committees ------------------------------------------------------------
 
 
@@ -306,26 +340,8 @@ def verify_committees(
         return VerifyResult(True, mode, enumerated=False, note="verification skipped")
     if any(not 0 <= p < n for row in committees for p in row):
         raise ParamError(f"committee member ids must lie in [0, {n})")
-
-    s = len(committees[0])
-    threshold = alpha * s
-
-    if b == 0:
-        return VerifyResult(True, mode, enumerated=False, note="fault sets are empty")
-
-    if mode == "exhaustive":
-        total = math.comb(n, b) * len(committees)
-        if total > check_budget:
-            raise VerificationBudgetError(
-                f"verification infeasible, use sampled: {total} checks exceed budget {check_budget}"
-            )
-        witness, checks = _scan(committees, range(n), b, threshold, c)
-    else:
-        witness, checks = _sampled_scan(committees, range(n), b, threshold, c,
-                                        rng or random.Random(0), sample_trials)
-    if witness is not None:
-        return VerifyResult(False, mode, witness=witness, checks=checks)
-    return VerifyResult(True, mode, checks=checks)
+    return _cap_check(committees, range(n), b, alpha * len(committees[0]), c, mode,
+                      rng, sample_trials, check_budget)
 
 
 def gen_committees(
@@ -369,17 +385,14 @@ def gen_committees(
     if verify_mode in ("exhaustive", "sampled"):
         check_committee_feasibility(n, q, s, alpha, epsilon, c)
 
-    rng = random.Random(seed)
     pool = list(range(n))
-    for attempt in range(1, max_attempts + 1):
-        committees = tuple(sample_without_replacement(rng, pool, s) for _ in range(q))
-        res = verify_committees(
+    committees, attempts = _las_vegas(
+        "committee list", seed, max_attempts,
+        lambda rng: tuple(sample_without_replacement(rng, pool, s) for _ in range(q)),
+        lambda committees, rng: verify_committees(
             committees, n, alpha, epsilon, c, verify_mode,
-            rng=rng, sample_trials=sample_trials, check_budget=check_budget,
-        )
-        if res.passed:
-            return CommitteeLayout(n, q, s, committees, _verified_tag(verify_mode, sample_trials), seed, attempt)
-    raise GenerationError(f"no acceptable committee list within {max_attempts} resamples (seed {seed})")
+            rng=rng, sample_trials=sample_trials, check_budget=check_budget))
+    return CommitteeLayout(n, q, s, committees, _verified_tag(verify_mode, sample_trials), seed, attempts)
 
 
 # --- publish graphs ---------------------------------------------------------
@@ -438,34 +451,14 @@ def verify_publish_graph(
         raise ParamError("publish-graph adjacency rows must hold only members of the committee")
 
     s = len(committee)
-    n = len(graph.adjacency)
     delta = graph.delta_cap
-    b = graph_fault_size(s)
-
     if not force_enumeration:
-        if d > n:
+        if d > len(graph.adjacency):
             return VerifyResult(True, mode, enumerated=False, note="trivial: d exceeds receiver count")
         if delta >= math.ceil(2 * s / 3):
             return VerifyResult(True, mode, enumerated=False, note="trivial: degree at ceil(2s/3)")
-    if b == 0:
-        return VerifyResult(True, mode, enumerated=False, note="fault sets are empty")
-
-    threshold = delta / 2.0
-    universe = sorted(committee)
-
-    if mode == "exhaustive":
-        total = math.comb(s, b) * n
-        if total > check_budget:
-            raise VerificationBudgetError(
-                f"verification infeasible, use sampled: {total} checks exceed budget {check_budget}"
-            )
-        witness, checks = _scan(graph.adjacency, universe, b, threshold, d)
-    else:
-        witness, checks = _sampled_scan(graph.adjacency, universe, b, threshold, d,
-                                        rng or random.Random(0), sample_trials)
-    if witness is not None:
-        return VerifyResult(False, mode, witness=witness, checks=checks)
-    return VerifyResult(True, mode, checks=checks)
+    return _cap_check(graph.adjacency, sorted(committee), graph_fault_size(s), delta / 2.0, d, mode,
+                      rng, sample_trials, check_budget)
 
 
 def gen_publish_graph(
@@ -498,18 +491,16 @@ def gen_publish_graph(
         raise ParamError("d must be at least 1")
     if verify_mode in ("exhaustive", "sampled"):
         check_graph_feasibility(s, n, d, delta_cap)
-    rng = random.Random(seed)
     members = sorted(committee)
-    for attempt in range(1, max_attempts + 1):
-        adjacency = tuple(sample_without_replacement(rng, members, delta_cap) for _ in range(n))
-        graph = PublishGraph(committee_id, adjacency, _verified_tag(verify_mode, sample_trials), seed)
-        res = verify_publish_graph(
+    tag = _verified_tag(verify_mode, sample_trials)
+    graph, _ = _las_vegas(
+        "publish graph", seed, max_attempts,
+        lambda rng: PublishGraph(
+            committee_id, tuple(sample_without_replacement(rng, members, delta_cap) for _ in range(n)), tag, seed),
+        lambda graph, rng: verify_publish_graph(
             graph, tuple(members), d, verify_mode,
-            rng=rng, sample_trials=sample_trials, check_budget=check_budget,
-        )
-        if res.passed:
-            return graph
-    raise GenerationError(f"no acceptable publish graph within {max_attempts} resamples (seed {seed})")
+            rng=rng, sample_trials=sample_trials, check_budget=check_budget))
+    return graph
 
 
 # --- failure bounds ---------------------------------------------------------
@@ -574,11 +565,12 @@ def layout_document(layout: CommitteeLayout, graphs: list[PublishGraph] | None =
 
 
 def layout_from_document(doc: dict) -> tuple[CommitteeLayout, list[PublishGraph]]:
-    """Layout and graphs of a document, refused with ParamError unless well formed.
+    """Layout and graphs (sorted by committee_id) of a document, refused with
+    ParamError unless well formed.
 
-    Well formed: q committees, each a sorted s-subset of [0, n); at most one
-    graph per committee id in [0, q), each with n sorted adjacency rows of
-    one common size that hold only members of that committee.
+    Well formed: integers n, q and s; q committees, each a sorted s-subset of
+    [0, n); at most one graph per committee id in [0, q), each with n sorted
+    adjacency rows of one common size that hold only members of that committee.
     """
     try:
         layout = CommitteeLayout(
@@ -600,8 +592,10 @@ def layout_from_document(doc: dict) -> tuple[CommitteeLayout, list[PublishGraph]
         ]
     except KeyError as exc:
         raise ParamError(f"layout document lacks the key {exc}") from None
+    except TypeError as exc:  # a list or mapping where the document holds a scalar, or the reverse
+        raise ParamError(f"layout document is malformed: {exc}") from None
     _check_layout(layout, graphs)
-    return layout, graphs
+    return layout, sorted(graphs, key=lambda g: g.committee_id)
 
 
 def _sorted_ids(row) -> bool:
@@ -610,6 +604,8 @@ def _sorted_ids(row) -> bool:
 
 def _check_layout(layout: CommitteeLayout, graphs: list[PublishGraph]) -> None:
     n, q, s = layout.n, layout.q, layout.s
+    if not all(type(v) is int for v in (n, q, s)):
+        raise ParamError(f"layout n, q and s must be integers, not {n!r}, {q!r}, {s!r}")
     if len(layout.committees) != q:
         raise ParamError(f"layout lists {len(layout.committees)} committees, not q={q}")
     for j, row in enumerate(layout.committees):

@@ -38,9 +38,6 @@ def default_seed() -> int:
         return 0
 
 
-PARAM_KEYS = ("n", "t", "z", "k", "epsilon", "alpha", "delta", "R")
-
-
 @dataclass
 class ExperimentConfig:
     n: int = 8

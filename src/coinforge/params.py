@@ -78,10 +78,6 @@ class CoinParams:
         if self.R <= 0:
             raise ParamError("R must be positive")
 
-    def simulation_budget_ok(self) -> bool:
-        """Whether t respects the tolerance bound t <= (alpha - epsilon)*n."""
-        return self.t <= (self.alpha - self.epsilon) * self.n
-
 
 @dataclass(frozen=True)
 class DerivedParams:
@@ -221,7 +217,6 @@ class Poly:
         return cls(((coef, float(exponent), logpow),))
 
 
-POLY_ZERO = Poly(())
 POLY_LOG = Poly(((1.0, 0.0, 1),))
 
 

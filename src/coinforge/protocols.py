@@ -346,8 +346,8 @@ class TransformProtocol:
     ):
         if layout.q != dp.q or layout.n != cp.n or layout.s != dp.s:
             raise ParamError("layout does not match the derived parameters")
-        if len(graphs) != dp.q:
-            raise ParamError("need one publish graph per committee")
+        if [g.committee_id for g in graphs] != list(range(dp.q)):
+            raise ParamError("need one publish graph per committee, in committee_id order")
         if not (1 <= dp.live_threshold <= dp.q):
             raise ParamError("live threshold outside [1, q]; adjust z")
         if coin_mode not in ("ideal", "benor"):

@@ -69,10 +69,10 @@ class Envelope:
 
     __slots__ = (
         "id", "sender", "recipient", "inst", "kind", "payload", "size_bits",
-        "sent_at", "delivered_at", "honest_at_send", "injected", "dropped",
+        "sent_at", "delivered_at", "honest_at_send", "dropped",
     )
 
-    def __init__(self, eid, sender, recipient, inst, kind, payload, size_bits, sent_at, honest_at_send, injected=False):
+    def __init__(self, eid, sender, recipient, inst, kind, payload, size_bits, sent_at, honest_at_send):
         self.id = eid
         self.sender = sender
         self.recipient = recipient
@@ -83,7 +83,6 @@ class Envelope:
         self.sent_at = sent_at
         self.delivered_at = None
         self.honest_at_send = honest_at_send
-        self.injected = injected
         self.dropped = False
 
 
@@ -291,10 +290,10 @@ class Simulation:
         self.events = 0
         self.budget_hit = False
 
-        # message accounting, honest-at-send vs byzantine
+        # message accounting: honest sends by kind (their buckets follow from
+        # the kind), injected byzantine traffic by kind and by declared size
         self._kind_count = [0] * len(KIND_NAMES)
         self._byz_kind_count = [0] * len(KIND_NAMES)
-        self._bucket = {"bit": 0, "tagged": 0, "opaque": 0}
         self._byz_bucket = {"bit": 0, "tagged": 0, "opaque": 0}
 
         tag_space = getattr(protocol, "tag_space", 1)
@@ -349,15 +348,14 @@ class Simulation:
         heappush(self._heap, (time, self._seq, etype, arg))
 
     def _emit(self, sender, msgs):
-        """Send each (recipients, inst, kind, payload) batch, counted once per batch."""
+        """Send each (recipients, inst, kind, payload) batch of an honest sender, counted once per batch.
+
+        Only honest parties run handlers: on_start runs before any adversary
+        phase, and deliveries and coin outputs to corrupted parties are skipped.
+        """
         if not msgs:
             return
-        honest = sender not in self.corrupted
-        if honest:
-            kind_count, bucket = self._kind_count, self._bucket
-        else:
-            kind_count, bucket = self._byz_kind_count, self._byz_bucket
-        kind_size, kind_bucket = self._kind_size, self._kind_bucket
+        kind_count, kind_size = self._kind_count, self._kind_size
         envelopes, sched, heap = self.envelopes, self._sched, self._heap
         append, delay_for, deadline = envelopes.append, self._delay_for, DEADLINE
         record_log = self.record_log
@@ -367,9 +365,8 @@ class Simulation:
         for recipients, inst, kind, payload in msgs:
             size = kind_size[kind]
             kind_count[kind] += len(recipients)
-            bucket[kind_bucket[kind]] += len(recipients)
             for r in recipients:
-                env = Envelope(eid, sender, r, inst, kind, payload, size, now, honest)
+                env = Envelope(eid, sender, r, inst, kind, payload, size, now, True)
                 append(env)
                 if r == sender:
                     t = now  # self-delivery, zero delay
@@ -436,7 +433,7 @@ class Simulation:
                 raise StrategyViolation("injected messages need size_bits >= 1")
             eid = len(self.envelopes)
             env = Envelope(eid, sender, msg["recipient"], msg.get("inst", 0), kind,
-                           msg["payload"], size, self.now, False, injected=True)
+                           msg["payload"], size, self.now, False)
             self.envelopes.append(env)
             self._byz_kind_count[kind] += 1
             self._byz_bucket[_bucket_of(kind, size)] += 1
@@ -617,6 +614,9 @@ class Simulation:
 
         discarded = sum(getattr(p, "discarded_non_neighbor", 0) for i, p in enumerate(self.parties)
                         if i not in self.corrupted)
+        bucket = {"bit": 0, "tagged": 0, "opaque": 0}
+        for kind, count in enumerate(self._kind_count):
+            bucket[self._kind_bucket[kind]] += count
 
         return TrialReport(
             seed=self.seed,
@@ -628,7 +628,7 @@ class Simulation:
             latency=latency,
             all_honest_output=all_out,
             max_delay=max_delay,
-            msg_count_by_bucket=dict(self._bucket),
+            msg_count_by_bucket=bucket,
             byz_msg_count_by_bucket=dict(self._byz_bucket),
             msg_count_by_kind={KIND_NAMES[k]: v for k, v in enumerate(self._kind_count) if v},
             byz_msg_count_by_kind={KIND_NAMES[k]: v for k, v in enumerate(self._byz_kind_count) if v},

@@ -122,8 +122,11 @@ class CommitteeTargeterStrategy(Strategy):
         return cls([int(a) for a in args])
 
     def bind(self, sim, rng):
-        if getattr(sim.protocol, "layout", None) is None:
+        layout = getattr(sim.protocol, "layout", None)
+        if layout is None:
             raise StrategyViolation("committee_targeter needs a protocol with a committee layout")
+        if not all(0 <= j < layout.q for j in self.targets):
+            raise ParamError(f"committee_targeter: target ids {self.targets} must lie in [0, {layout.q})")
         super().bind(sim, rng)
 
     def _plan(self, view):

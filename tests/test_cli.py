@@ -250,6 +250,21 @@ def test_malformed_layout_is_a_config_error(tmp_path, capsys):
     assert "committee 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d.__setitem__("committees", 5), "malformed"),
+    (lambda d: d.__setitem__("n", "8"), "integers"),
+    (lambda d: d["graphs"][0].__setitem__("adjacency", 7), "malformed"),
+], ids=["committees-int", "n-string", "adjacency-int"])
+def test_layout_of_the_wrong_json_types_is_a_config_error(tmp_path, capsys, edit, message):
+    path = _gen_layout(tmp_path)
+    doc = json.loads(open(path).read())
+    edit(doc)
+    open(path, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", "--layout", path, *_COIN_FLAGS) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_params_only_config_document(tmp_path, capsys):
     # the parameter block uses exactly these key names
     doc = {"n": 16, "t": 0, "z": 0.3, "k": 2.0, "epsilon": 0.05, "alpha": 1 / 3,
@@ -325,3 +340,51 @@ def test_record_log_without_log_is_a_config_error(tmp_path, capsys, command):
     capsys.readouterr()
     assert run_cli(command, "--config", str(cfg_path), *argv) == 3
     assert "--log" in capsys.readouterr().err
+
+
+# --- publish graphs belong to committees by committee_id ----------------------------
+
+
+def _results_and_stdout(capsys, *argv):
+    """(exit code, stdout, the results block of --out) of one command writing out.json."""
+    capsys.readouterr()
+    rc = run_cli(*argv)
+    out = capsys.readouterr().out
+    return rc, out, json.loads(open("out.json").read())["results"]
+
+
+@pytest.mark.parametrize("order", ["reversed", "rotated"])
+def test_graphs_listed_out_of_order_are_matched_by_committee_id(tmp_path, monkeypatch, capsys, order):
+    monkeypatch.chdir(tmp_path)
+    layout = _gen_layout(tmp_path)
+    doc = json.loads(open(layout).read())
+    doc["graphs"] = doc["graphs"][::-1] if order == "reversed" else doc["graphs"][2:] + doc["graphs"][:2]
+    (tmp_path / "moved.json").write_text(json.dumps(doc))
+    for argv in (["verify", *_COIN_FLAGS],
+                 ["run-coin", *_COIN_FLAGS, "--strategy", "random_delay", "--trials", "3"],
+                 ["estimate-fairness", *_COIN_FLAGS, "--strategy", "random_delay", "--trials", "3"],
+                 ["run-publish", "--committee", "1", "--split", "--trials", "3"]):
+        want = _results_and_stdout(capsys, *argv, "--layout", layout, "--out", "out.json")
+        assert _results_and_stdout(capsys, *argv, "--layout", "moved.json", "--out", "out.json") == want
+
+
+@pytest.mark.parametrize("committee,drop", [("99", None), ("-1", None), ("5", None), ("2", 2)],
+                         ids=["99", "negative", "q", "no-graph"])
+def test_run_publish_committee_without_a_graph_is_a_config_error(tmp_path, capsys, committee, drop):
+    path = _gen_layout(tmp_path)
+    if drop is not None:
+        doc = json.loads(open(path).read())
+        doc["graphs"] = [g for g in doc["graphs"] if g["committee_id"] != drop]
+        open(path, "w").write(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("run-publish", "--layout", path, "--committee", committee, "--trials", "1") == 3
+    assert "no publish graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("targets", ["99", "-1", "5", "0,5"])
+def test_committee_targeter_ids_outside_the_layout_are_a_config_error(tmp_path, capsys, targets):
+    layout = _gen_layout(tmp_path)
+    capsys.readouterr()
+    assert run_cli("run-coin", "--layout", layout, *_COIN_FLAGS, "--t", "2", "--trials", "1",
+                   "--strategy", f"committee_targeter:{targets}") == 3
+    assert "must lie in [0, 5)" in capsys.readouterr().err

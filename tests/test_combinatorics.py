@@ -332,6 +332,10 @@ def _set(path, value):
     ("adjacency rows of two sizes", lambda d: d["graphs"][0]["adjacency"][3].pop()),
     ("row id outside the committee", lambda d: d["graphs"][0]["adjacency"][0].__setitem__(-1, 99)),
     ("missing key", lambda d: d.pop("seed")),
+    ("committees not a list", _set(("committees",), 5)),
+    ("n a string", _set(("n",), "8")),
+    ("adjacency not a list", _set(("graphs", 0, "adjacency"), 7)),
+    ("graph not a mapping", _set(("graphs", 0), 7)),
 ])
 def test_layout_documents_are_validated(what, edit):
     doc = _layout_doc()

@@ -175,7 +175,7 @@ def test_estimate_fairness_refuses_confidence_before_drawing_a_report(confidence
 @pytest.mark.parametrize("argv,out,err", [
     # every targeted committee loses its crusader liveness at this desk scale, so nobody outputs
     (["leader", "--layout", "layout.json", *FLAGS, "--strategy", "committee_targeter:0", "--t", "2"],
-     "leader: parties did not agree\n", ""),
+     "leader: no honest output\n", ""),
     (["run-crusader", "--s", "4", "--t", "1", "--strategy", "committee_targeter:0"],
      "", "failure: committee_targeter needs a protocol with a committee layout\n"),
 ], ids=["leader", "run-crusader"])
