@@ -48,7 +48,6 @@ from .strategies import (
 from .protocols import (
     BenorCoinProtocol,
     CrusaderProtocol,
-    MultiTransformProtocol,
     PublishProtocol,
     TransformProtocol,
     benor_strong_coin,

@@ -38,6 +38,18 @@ def default_seed() -> int:
         return 0
 
 
+# the JSON values a config field of each annotation takes, and their name in
+# an error; a bool is no integer or number here, though Python counts it as one
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "dict": ((dict,), "a mapping"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "bool": ((bool,), "a bool"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     n: int = 8
@@ -71,10 +83,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ParamError("a config document must be a JSON object")
+        fields = cls.__dataclass_fields__
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ParamError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in doc.items():
+            types, name = _JSON_TYPES[fields[key].type]
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ParamError(f"config key {key!r} must be {name}, not {value!r}")
         return cls(**doc)
 
     @classmethod
@@ -116,11 +134,8 @@ def build_protocol(cfg: ExperimentConfig):
         layout, graphs = load_layout_file(cfg.layout_path)
         cp = cfg.coin_params()
         dp = derive_params(cp, cfg.overrides or None)
-        base = protocols.TransformProtocol(cp, dp, layout, graphs,
-                                           coin_mode=cfg.protocol.get("coin", "ideal"))
-        if kind == "multivalued":
-            return protocols.MultiTransformProtocol(base, int(cfg.protocol.get("ell", 1))), dp
-        return base, dp
+        return protocols.TransformProtocol(cp, dp, layout, graphs, coin_mode=cfg.protocol.get("coin", "ideal"),
+                                           ell=int(cfg.protocol.get("ell", 1))), dp
     if kind == "crusader":
         s = int(cfg.protocol.get("s", cfg.n))
         inputs = cfg.protocol.get("inputs", "random")

@@ -6,10 +6,12 @@ context, drawn from its own seeded stream) and `make_party(pid, ctx)`. A party
 gives `on_start()` and `on_message(env)`, each returning the
 (recipients, inst, kind, payload) batches to send, and `output`, None until it
 decides. `on_coin(inst, bit)` is called only on members of ideal coin
-instances. Every role below is a party: a standalone protocol's `make_party`
-returns the role itself, and the transformation party routes each envelope to
-the role of its committee. Scheduling, corruption and accounting live entirely
-in `simnet`.
+instances. A protocol may also give `tag_space` and `maj_tag_space` (the
+instance counts that size the wire tags) and `coin_specs` (its committee coin
+instances); the simulator reads 1, 1 and no coins where they are missing.
+Every role below is a party: a standalone protocol's `make_party` returns the
+role itself, and the transformation party routes each envelope to the role of
+its instance. Scheduling, corruption and accounting live entirely in `simnet`.
 
 Crusader agreement (binary, tolerates t < s/3 inside a committee of size s):
   1. broadcast VAL(input);
@@ -31,6 +33,10 @@ i, feeds the coin output into that committee's publish instance, tallies
 publish outputs v_b, broadcasts the majority bit exactly when v0+v1 hits the
 live threshold, tallies first-bit-per-sender w_b, and outputs the majority
 exactly when w0+w1 hits floor(2n/3)+1 (ties resolve to 0 in both places).
+An ell-bit toss is ell parallel runs of this: toss e uses coin, crusader and
+publish instances e*q .. e*q+q-1 and MAJ instance e, and a party outputs once
+every toss has its bit, the bits concatenated with toss 0 highest (at ell = 1,
+the plain bit).
 """
 
 from __future__ import annotations
@@ -249,28 +255,33 @@ def reverse_adjacency(committee, graph: PublishGraph) -> dict:
 
 
 class TransformParty:
-    __slots__ = ("proto", "base", "maj_inst", "member_pub", "recv_pub", "benor",
-                 "v0", "v1", "w0", "w1", "maj_sent", "seen_maj", "seen_pub", "output")
+    """One party in all ell tosses. Roles are keyed by global instance id
+    e*q + j. Toss e keeps its publish tally v and MAJ tally w as counts of
+    zeros at 2e and ones at 2e+1, and its bit in bits[e]; `seen_maj` holds
+    sender*ell + e for each MAJ sender counted in toss e."""
 
-    def __init__(self, pid, proto, ctx, base=0, maj_inst=0):
+    __slots__ = ("proto", "member_pub", "recv_pub", "benor", "v", "w", "seen_maj", "seen_pub", "bits", "output")
+
+    def __init__(self, pid, proto, ctx):
         self.proto = proto
-        self.base = base  # global instance id of this coin group's committee 0
-        self.maj_inst = maj_inst
         self.member_pub = {}
         self.recv_pub = {}
         self.benor = {}
-        for j in range(proto.q):
+        q, ell = proto.q, proto.ell
+        for inst in range(q * ell):
+            j = inst % q
             if pid in proto.member_sets[j]:
-                self.member_pub[j] = PublishMemberSM(
-                    proto.committees[j], proto.t_local, base + j, proto.receivers_of[j][pid])
+                self.member_pub[inst] = PublishMemberSM(
+                    proto.committees[j], proto.t_local, inst, proto.receivers_of[j][pid])
                 if proto.coin_mode == "benor":
-                    self.benor[j] = BenorSM(proto.committees[j], proto.t_local, base + j, ctx[(base + j, pid)])
+                    self.benor[inst] = BenorSM(proto.committees[j], proto.t_local, inst, ctx[(inst, pid)])
             else:
-                self.recv_pub[j] = PublishReceiverSM(proto.neighbor_sets[j][pid], proto.delta_cap)
-        self.v0 = self.v1 = self.w0 = self.w1 = 0
-        self.maj_sent = False
+                self.recv_pub[inst] = PublishReceiverSM(proto.neighbor_sets[j][pid], proto.delta_cap)
+        self.v = [0, 0] * ell
+        self.w = [0, 0] * ell
         self.seen_maj = set()
         self.seen_pub = set()
+        self.bits = [None] * ell
         self.output = None
 
     def on_start(self):
@@ -278,54 +289,58 @@ class TransformParty:
 
     def on_coin(self, inst, bit):
         # the member's publish output is taken from a later crusader message, never here
-        sm = self.member_pub.get(inst - self.base)
+        sm = self.member_pub.get(inst)
         if sm is None or sm.crusader.input is not None:
             return []
         return sm.set_input(bit)
 
-    def _pub_output(self, j, b):
-        self.seen_pub.add(j)
-        if b == 0:
-            self.v0 += 1
-        else:
-            self.v1 += 1
-        if not self.maj_sent and self.v0 + self.v1 == self.proto.live_threshold:
-            self.maj_sent = True
-            bmaj = 0 if self.v0 >= self.v1 else 1
-            return [(self.proto.all_parties, self.maj_inst, K_MAJ, bmaj)]
+    def _pub_output(self, inst, b):
+        # each instance counts once, so a toss's tally meets the live threshold once: one MAJ send
+        self.seen_pub.add(inst)
+        proto = self.proto
+        e = inst // proto.q
+        v, i = self.v, 2 * e
+        v[i + (b != 0)] += 1
+        if v[i] + v[i + 1] == proto.live_threshold:
+            bmaj = 0 if v[i] >= v[i + 1] else 1
+            return [(proto.all_parties, e, K_MAJ, bmaj)]
         return []
 
     def on_message(self, env):
-        kind = env.kind
+        kind, inst = env.kind, env.inst
         if kind == K_MAJ:
-            if env.payload in (0, 1) and env.sender not in self.seen_maj:
-                self.seen_maj.add(env.sender)
-                if env.payload == 0:
-                    self.w0 += 1
-                else:
-                    self.w1 += 1
-                if self.output is None and self.w0 + self.w1 == self.proto.output_threshold:
-                    self.output = 0 if self.w0 >= self.w1 else 1
-            return []
-        j = env.inst - self.base
-        if not (0 <= j < self.proto.q):
+            # MAJ instance = toss; once a toss has its bit, no later MAJ of it can change anything
+            bits = self.bits
+            if 0 <= inst < len(bits) and bits[inst] is None and env.payload in (0, 1):
+                key = env.sender * len(bits) + inst
+                if key not in self.seen_maj:
+                    self.seen_maj.add(key)
+                    w, i = self.w, 2 * inst
+                    w[i + (env.payload != 0)] += 1
+                    if w[i] + w[i + 1] == self.proto.output_threshold:
+                        bits[inst] = 0 if w[i] >= w[i + 1] else 1
+                        if None not in bits:  # the last bit completes the value, toss 0 highest
+                            value = 0
+                            for b in bits:
+                                value = (value << 1) | b
+                            self.output = value
             return []
         if kind == K_PUB:
-            sm = self.recv_pub.get(j)
+            sm = self.recv_pub.get(inst)
         elif kind == K_COIN:
-            sm = self.benor.get(j)
+            sm = self.benor.get(inst)
             if sm is not None and sm.output is None:
                 sm.on_message(env)
                 if sm.output is not None:
-                    return self.on_coin(env.inst, sm.output)
+                    return self.on_coin(inst, sm.output)
             return []
         else:
-            sm = self.member_pub.get(j)
+            sm = self.member_pub.get(inst)
         if sm is None:
             return []
         msgs = sm.on_message(env)
-        if sm.output is not None and j not in self.seen_pub:
-            return msgs + self._pub_output(j, sm.output)
+        if sm.output is not None and inst not in self.seen_pub:
+            return msgs + self._pub_output(inst, sm.output)
         return msgs
 
     @property
@@ -333,8 +348,16 @@ class TransformParty:
         return sum(sm.discarded_non_neighbor for sm in self.recv_pub.values())
 
 
+# perfbench's tracer patches the handlers of `protocols.MultiParty` by name
+MultiParty = TransformParty
+
+
 class TransformProtocol:
-    """Factory for one transformed-coin toss over a fixed committee layout."""
+    """Factory for ell parallel tosses of the transformed coin over a fixed
+    committee layout (instance layout in the module docstring). For a
+    delta-fair ell-bit value each toss needs per-bit fairness
+    `per_bit_delta(delta, ell)`.
+    """
 
     def __init__(
         self,
@@ -343,6 +366,7 @@ class TransformProtocol:
         layout: CommitteeLayout,
         graphs: list[PublishGraph],
         coin_mode: str = "ideal",
+        ell: int = 1,
     ):
         if layout.q != dp.q or layout.n != cp.n or layout.s != dp.s:
             raise ParamError("layout does not match the derived parameters")
@@ -352,11 +376,11 @@ class TransformProtocol:
             raise ParamError("live threshold outside [1, q]; adjust z")
         if coin_mode not in ("ideal", "benor"):
             raise ParamError("coin_mode must be 'ideal' or 'benor'")
-        self.cp = cp
-        self.dp = dp
+        if ell < 1:
+            raise ParamError("ell must be at least 1")
         self.layout = layout
-        self.graphs = graphs
         self.coin_mode = coin_mode
+        self.ell = ell
 
         self.n = layout.n
         self.q = dp.q
@@ -366,8 +390,8 @@ class TransformProtocol:
         self.live_threshold = dp.live_threshold
         self.output_threshold = dp.output_threshold
         self.t_local = crusader_fault_bound(dp.s)
-        self.tag_space = dp.q
-        self.maj_tag_space = 1
+        self.tag_space = dp.q * ell
+        self.maj_tag_space = ell
         self.all_parties = tuple(range(self.n))
 
         self.committees = [tuple(c) for c in layout.committees]
@@ -377,18 +401,18 @@ class TransformProtocol:
 
         if coin_mode == "ideal":
             self.coin_specs = [
-                ideal_strong_coin(j, self.committees[j], cp.delta, cp.R, cp.alpha, self.t_local)
-                for j in range(self.q)
+                ideal_strong_coin(e * self.q + j, self.committees[j], cp.delta, cp.R, cp.alpha, self.t_local)
+                for e in range(ell) for j in range(self.q)
             ]
         else:
             self.coin_specs = [
-                benor_strong_coin(j, self.committees[j], self.t_local)
-                for j in range(self.q)
+                benor_strong_coin(e * self.q + j, self.committees[j], self.t_local)
+                for e in range(ell) for j in range(self.q)
             ]
 
     def setup_trial(self, rng: random.Random):
-        """Benor-mode members' generated bits, in `coin_specs` order; shared by
-        MultiTransformProtocol and BenorCoinProtocol."""
+        """Benor-mode members' generated bits, in `coin_specs` order; shared
+        with BenorCoinProtocol."""
         if self.coin_mode != "benor":
             return None
         return {(spec.inst, m): rng.getrandbits(1) for spec in self.coin_specs for m in spec.members}
@@ -403,95 +427,18 @@ class TransformProtocol:
         return TransformParty(pid, self, ctx)
 
     def audit_caps(self, coin_M=None):
-        """Honest-message caps per kind group, mirroring the cost accounting."""
+        """Honest-message caps per kind group over all ell tosses, mirroring the cost accounting."""
         coin_cap = 0.0
         if coin_M is not None:
             coin_cap = self.q * coin_M(self.s)
         elif self.coin_mode == "benor":
             coin_cap = self.q * self.s**2
         return {
-            "crusader": 4 * self.s**2 * self.q,
-            "publish": self.n * self.delta_cap * self.q,
-            "broadcast": self.n**2,
-            "coin": coin_cap,
+            "crusader": 4 * self.s**2 * self.q * self.ell,
+            "publish": self.n * self.delta_cap * self.q * self.ell,
+            "broadcast": self.n**2 * self.ell,
+            "coin": coin_cap * self.ell,
         }
-
-
-class MultiParty:
-    """ell parallel transformation instances; output is the concatenated value."""
-
-    __slots__ = ("subs", "q", "ell", "pending", "output")
-
-    def __init__(self, pid, proto, ctx):
-        self.q = proto.q
-        self.ell = proto.ell
-        self.subs = [TransformParty(pid, proto.base, ctx, base=e * proto.base.q, maj_inst=e)
-                     for e in range(proto.ell)]
-        self.pending = proto.ell  # sub-instances without an output yet
-        self.output = None
-
-    def on_start(self):
-        msgs = []
-        for sub in self.subs:
-            msgs.extend(sub.on_start())
-        return msgs
-
-    def on_coin(self, inst, bit):
-        # never finishes a sub-instance: a TransformParty outputs only on a MAJ delivery
-        return self.subs[inst // self.q].on_coin(inst, bit)
-
-    def on_message(self, env):
-        e = env.inst if env.kind == K_MAJ else env.inst // self.q
-        if not (0 <= e < self.ell):
-            return []
-        sub = self.subs[e]
-        was_open = sub.output is None
-        msgs = sub.on_message(env)
-        if was_open and sub.output is not None:
-            self.pending -= 1
-            if self.pending == 0:  # the last output completes the value, sub-instance 0 highest
-                value = 0
-                for s in self.subs:
-                    value = (value << 1) | s.output
-                self.output = value
-        return msgs
-
-    @property
-    def discarded_non_neighbor(self):
-        return sum(s.discarded_non_neighbor for s in self.subs)
-
-
-class MultiTransformProtocol:
-    """Toss the transformed coin ell times in parallel for an ell-bit output.
-
-    Each parallel instance needs per-bit fairness 1 - (1-delta)/ell to make the
-    concatenation delta-fair overall.
-    """
-
-    def __init__(self, base: TransformProtocol, ell: int):
-        if ell < 1:
-            raise ParamError("ell must be at least 1")
-        self.base = base
-        self.ell = ell
-        self.n = base.n
-        self.q = base.q
-        self.coin_mode = base.coin_mode
-        self.tag_space = base.q * ell
-        self.maj_tag_space = ell
-        self.layout = base.layout
-        self.alpha = base.alpha
-        self.coin_specs = [
-            CoinSpec(e * base.q + spec.inst, spec.members, spec.delta, spec.R,
-                     spec.bad_threshold, mode=spec.mode, t_local=spec.t_local)
-            for e in range(ell)
-            for spec in base.coin_specs
-        ]
-
-    setup_trial = TransformProtocol.setup_trial
-    benor_truth = TransformProtocol.benor_truth
-
-    def make_party(self, pid, ctx):
-        return MultiParty(pid, self, ctx)
 
 
 def per_bit_delta(target_delta: float, ell: int) -> float:
@@ -533,12 +480,9 @@ class CrusaderProtocol:
 
     def __init__(self, s: int, inputs, t_local: int | None = None):
         self.n = s
-        self.tag_space = 1
-        self.maj_tag_space = 1
         self.t_local = crusader_fault_bound(s) if t_local is None else t_local
         self.members = tuple(range(s))
         self.inputs = inputs
-        self.coin_specs = ()
 
     def setup_trial(self, rng):
         return list(self.inputs(rng)) if callable(self.inputs) else list(self.inputs)
@@ -557,9 +501,6 @@ class PublishProtocol:
         self.graph = graph
         self.inputs = inputs  # dict member -> bit, or callable rng -> dict
         self.t_local = crusader_fault_bound(len(committee))
-        self.tag_space = 1
-        self.maj_tag_space = 1
-        self.coin_specs = ()
         self.delta_cap = graph.delta_cap
         self.receivers_of = reverse_adjacency(self.committee, graph)
 
@@ -581,8 +522,6 @@ class BenorCoinProtocol:
         self.n = s
         self.t_local = t_local
         self.members = tuple(range(s))
-        self.tag_space = 1
-        self.maj_tag_space = 1
         self.coin_specs = (benor_strong_coin(0, self.members, t_local),)
 
     setup_trial = TransformProtocol.setup_trial

@@ -10,7 +10,9 @@ A strategy sees an AdversaryView and steers the run through two channels:
     "nothing now". Only strategies with `reactive` true are polled, and a
     strategy with nothing left to do sets `reactive = False`: the run loop
     re-reads the flag after each adversary phase and, once it reads False,
-    never polls that strategy again.
+    never polls that strategy again. A strategy that decides everything at
+    its first poll subclasses PlannedStrategy and returns the actions from
+    plan(view); they are handed out in order, then the flag turns off.
 
 bind(sim, rng) hands a strategy its per-trial rng and may read the run's
 settings (n, mode); it keeps no reference to `sim`. The view passed to the
@@ -75,6 +77,22 @@ class Strategy:
         return 0
 
 
+class PlannedStrategy(Strategy):
+    """Reactive until its plan is drained: `plan(view)` runs at the first poll
+    and lists every action, and next_action hands them out in that order."""
+
+    reactive = True
+    _actions = None  # iterator over the plan, set at the first poll
+
+    def next_action(self, view):
+        if self._actions is None:
+            self._actions = iter(self.plan(view))
+        act = next(self._actions, None)
+        if act is None:
+            self.reactive = False  # plan drained
+        return act
+
+
 class FifoStrategy(Strategy):
     name = "fifo"
 
@@ -100,7 +118,7 @@ class RandomDelayStrategy(Strategy):
         return {m: spec.R * self.scale for m in spec.members}
 
 
-class CommitteeTargeterStrategy(Strategy):
+class CommitteeTargeterStrategy(PlannedStrategy):
     """Corrupt enough members of each named committee to make it bad.
 
     Quota per committee is ceil(alpha*s); already-corrupted members count
@@ -110,12 +128,9 @@ class CommitteeTargeterStrategy(Strategy):
     """
 
     name = "committee_targeter"
-    reactive = True
 
     def __init__(self, targets):
         self.targets = list(targets)
-        self._planned = False
-        self._queue = []
 
     @classmethod
     def from_args(cls, args):
@@ -129,11 +144,12 @@ class CommitteeTargeterStrategy(Strategy):
             raise ParamError(f"committee_targeter: target ids {self.targets} must lie in [0, {layout.q})")
         super().bind(sim, rng)
 
-    def _plan(self, view):
+    def plan(self, view):
         proto = view.protocol
         layout = proto.layout
         alpha = proto.alpha
         chosen = set(view.corrupted)
+        actions = []
         for j in self.targets:
             committee = sorted(layout.committees[j])
             quota = math.ceil(alpha * len(committee))
@@ -144,20 +160,12 @@ class CommitteeTargeterStrategy(Strategy):
                 if m not in chosen:
                     chosen.add(m)
                     have += 1
-                    self._queue.append(AdversaryAction.corrupt(m))
-        new = {a.party for a in self._queue}
+                    actions.append(AdversaryAction.corrupt(m))
+        new = {a.party for a in actions}
         for env in view.pending_envelopes():
             if env.sender in new:
-                self._queue.append(AdversaryAction.drop(env.id))
-
-    def next_action(self, view):
-        if not self._planned:
-            self._planned = True
-            self._plan(view)
-        if self._queue:
-            return self._queue.pop(0)
-        self.reactive = False  # plan drained
-        return None
+                actions.append(AdversaryAction.drop(env.id))
+        return actions
 
 
 class PublishDelayerStrategy(Strategy):
@@ -188,7 +196,7 @@ class PublishDelayerStrategy(Strategy):
         return self.base_delay
 
 
-class BenorBiaserStrategy(Strategy):
+class BenorBiaserStrategy(PlannedStrategy):
     """Counter the honest majority of a majority-bit committee coin.
 
     Needs full-information mode (it reads honest coin bits in flight) and a
@@ -198,26 +206,22 @@ class BenorBiaserStrategy(Strategy):
     """
 
     name = "benor_biaser"
-    reactive = True
 
     def __init__(self, early: float = 0.25):
         self.early = early
-        self._planned = False
-        self._queue = []
 
     def bind(self, sim, rng):
         if sim.mode != "full_info":
             raise StrategyViolation("benor_biaser demands payload visibility (full-information mode)")
         super().bind(sim, rng)
 
-    def _plan(self, view):
+    def plan(self, view):
         n = view.n
         budget = view.budget_remaining
         if budget <= 0:
-            return
+            return []
         victims = list(range(n - budget, n))
-        for p in victims:
-            self._queue.append(AdversaryAction.corrupt(p))
+        actions = [AdversaryAction.corrupt(p) for p in victims]
         victim_set = set(victims)
         pending = view.pending_envelopes()
         honest_bits = {}
@@ -225,7 +229,7 @@ class BenorBiaserStrategy(Strategy):
             if env.kind != K_COIN:
                 continue
             if env.sender in victim_set:
-                self._queue.append(AdversaryAction.drop(env.id))
+                actions.append(AdversaryAction.drop(env.id))
             else:
                 honest_bits.setdefault(env.sender, env.payload)  # full-info read
         ones = sum(honest_bits.values())
@@ -235,7 +239,7 @@ class BenorBiaserStrategy(Strategy):
             for r in range(n):
                 if r in victim_set:
                     continue
-                self._queue.append(AdversaryAction.inject(
+                actions.append(AdversaryAction.inject(
                     {"sender": p, "recipient": r, "inst": 0, "kind": K_COIN, "payload": counter},
                     time=MIN_DELAY))
         # group A (low ids) hears majority-bit senders first, group B the rest
@@ -246,16 +250,8 @@ class BenorBiaserStrategy(Strategy):
             favors_maj = env.payload == b_maj
             early_for_recipient = favors_maj if env.recipient < half else not favors_maj
             t = env.sent_at + (self.early if early_for_recipient else DEADLINE)
-            self._queue.append(AdversaryAction.delay(env.id, t))
-
-    def next_action(self, view):
-        if not self._planned:
-            self._planned = True
-            self._plan(view)
-        if self._queue:
-            return self._queue.pop(0)
-        self.reactive = False  # plan drained
-        return None
+            actions.append(AdversaryAction.delay(env.id, t))
+        return actions
 
 
 class CombinedStrategy(Strategy):

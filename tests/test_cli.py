@@ -175,6 +175,14 @@ def test_leader_command(tmp_path, capsys):
     assert "-> party" in capsys.readouterr().out
 
 
+def test_leader_with_no_tosses_is_a_config_error(tmp_path, capsys):
+    layout = _gen_layout(tmp_path)
+    capsys.readouterr()
+    assert run_cli("leader", "--layout", layout, *_COIN_FLAGS, "--ell", "0") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "ell must be at least 1" in err
+
+
 def test_rerun_reproduces_output_bytes(tmp_path):
     layout = _gen_layout(tmp_path)
     out = str(tmp_path / "runs.json")
@@ -292,6 +300,31 @@ def test_config_roundtrip_and_digest(tmp_path):
     assert again.digest() == cfg.digest()
     with pytest.raises(ParamError, match="unknown config"):
         ExperimentConfig.from_dict({"banana": 1})
+    with pytest.raises(ParamError, match="JSON object"):
+        ExperimentConfig.from_dict([["n", 8]])
+
+
+@pytest.mark.parametrize("command,doc,argv", [
+    ("derive", {"overrides": 5}, []),
+    ("run-crusader", {"trials": "3"}, ["--s", "4"]),
+], ids=["overrides-int", "trials-string"])
+def test_config_values_of_the_wrong_json_types_are_a_config_error(tmp_path, capsys, command, doc, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(command, "--config", str(path), *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert repr(next(iter(doc))) in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("n", 8.0), ("seed", True), ("alpha", "1/3"), ("R", None), ("protocol", []),
+    ("mode", 1), ("layout_path", 3), ("out", False), ("record_log", 1),
+])
+def test_config_keys_take_their_json_types(key, value):
+    with pytest.raises(ParamError, match=f"config key '{key}' must be"):
+        ExperimentConfig.from_dict({key: value})
 
 # --- record_log: only trial 0, only through --log ---------------------------------
 

@@ -11,7 +11,7 @@ from coinforge.cli import main
 from coinforge.combinatorics import gen_publish_graph
 from coinforge.config import build_strategy, parse_strategy_spec
 from coinforge.params import publish_degree
-from coinforge.protocols import BenorCoinProtocol, CrusaderProtocol, MultiTransformProtocol, PublishProtocol
+from coinforge.protocols import BenorCoinProtocol, CrusaderProtocol, PublishProtocol
 from coinforge.simnet import (
     AdversaryAction,
     K_MAJ,
@@ -36,6 +36,7 @@ def _scenarios():
     """name -> (protocol, strategy factory, Simulation keywords)."""
     transform = small_transform()[-1]
     benor_transform = small_transform(coin_mode="benor", layout_seed=17)[-1]
+    benor_multitoss = small_transform(coin_mode="benor", layout_seed=17, ell=3)[-1]
     return {
         "fifo": (transform, FifoStrategy, {}),
         "random_delay": (transform, RandomDelayStrategy, {}),
@@ -52,7 +53,7 @@ def _scenarios():
                                {"t_budget": 1}),
         "publish_corrupter": (_publish_protocol(), lambda: PublishCorrupter([0, 1]), {"t_budget": 2}),
         "benor_transform": (benor_transform, RandomDelayStrategy, {}),
-        "benor_multitoss": (MultiTransformProtocol(benor_transform, 3), FifoStrategy, {}),
+        "benor_multitoss": (benor_multitoss, FifoStrategy, {}),
     }
 
 

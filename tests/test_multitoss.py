@@ -6,7 +6,6 @@ parameters is covered in test_transform.py."""
 from collections import Counter
 
 from conftest import small_transform
-from coinforge.protocols import MultiTransformProtocol
 from coinforge.simnet import mix64, run_simulation
 from coinforge.strategies import FifoStrategy
 
@@ -15,9 +14,8 @@ CHI2_CRIT_255 = 330.52
 
 
 def test_eight_bit_outputs_uniform_by_chi_square():
-    cp, dp, layout, graphs, proto = small_transform(
-        n=1, q=1, s=1, c=1, z=0.3, epsilon=1 / 12, layout_seed=1)
-    multi = MultiTransformProtocol(proto, 8)
+    cp, dp, layout, graphs, multi = small_transform(
+        n=1, q=1, s=1, c=1, z=0.3, epsilon=1 / 12, layout_seed=1, ell=8)
     counts = Counter()
     trials = 100_000
     for i in range(trials):

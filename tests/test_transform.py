@@ -5,7 +5,7 @@ from coinforge.analysis import wilson_interval
 from coinforge.params import ParamError
 from coinforge.protocols import (
     BenorCoinProtocol,
-    MultiTransformProtocol,
+    TransformProtocol,
     benor_ground_truth,
     elect_leader,
     per_bit_delta,
@@ -191,8 +191,8 @@ def test_transform_over_benor_committees():
 
 
 def test_single_bit_multitoss_matches_plain_transform(transform_small):
-    _, _, _, _, proto = transform_small
-    multi = MultiTransformProtocol(proto, 1)
+    cp, dp, layout, graphs, proto = transform_small
+    multi = TransformProtocol(cp, dp, layout, graphs, ell=1)
     for seed in (1, 5, 9):
         a = run_simulation(proto, FifoStrategy(), seed=seed)
         b = run_simulation(multi, FifoStrategy(), seed=seed)
@@ -200,8 +200,7 @@ def test_single_bit_multitoss_matches_plain_transform(transform_small):
 
 
 def test_multitoss_concatenates_per_instance_bits():
-    cp, dp, layout, graphs, proto = small_transform(n=4, q=3, s=4, c=1, layout_seed=2)
-    multi = MultiTransformProtocol(proto, 3)
+    cp, dp, layout, graphs, multi = small_transform(n=4, q=3, s=4, c=1, layout_seed=2, ell=3)
     for seed in range(30):
         rep = run_simulation(multi, RandomDelayStrategy(), seed=mix64(31, seed))
         assert rep.agreed
@@ -213,6 +212,12 @@ def test_multitoss_concatenates_per_instance_bits():
             group = bits[e * dp.q:(e + 1) * dp.q]
             want = (want << 1) | (1 if 2 * sum(group) > dp.q else 0)
         assert value == want
+
+
+def test_zero_tosses_is_a_param_error(transform_small):
+    cp, dp, layout, graphs, _ = transform_small
+    with pytest.raises(ParamError, match="ell must be at least 1"):
+        TransformProtocol(cp, dp, layout, graphs, ell=0)
 
 
 def test_per_bit_delta_and_leader_mapping():
