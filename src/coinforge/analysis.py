@@ -232,27 +232,33 @@ class AuditResult:
         return {"passed": self.passed, "failed_term": self.failed_term, "detail": self.detail}
 
 
+def message_caps(dp: DerivedParams, n: int, coin_cap: float = 0.0, instances: int = 1) -> dict:
+    """Honest-message caps per kind group, each for `instances` parallel instances."""
+    return {
+        "crusader": 4 * dp.s**2 * dp.q * instances,
+        "publish": n * dp.delta_cap * dp.q * instances,
+        "broadcast": n * n * instances,
+        "coin": coin_cap * instances,
+    }
+
+
 def audit_transcript(report: TrialReport, dp: DerivedParams, n: int, R: float,
                      coin_cap: float = 0.0, instances: int = 1) -> AuditResult:
-    """Check honest message counts and latency against the per-term caps.
+    """Check honest message counts against `message_caps` and latency against R + 5.
 
-    Caps (honest, protocol-conformant sends only; byzantine traffic is
-    reported separately and not capped): 4*s^2*q crusader messages, n*Delta*q
-    publish fan-out, n^2 majority broadcasts, coin_cap committee-coin
-    messages, all times `instances` parallel instances; latency <= R + 5
-    whenever every committee coin was live by its bound.
+    Byzantine traffic is reported separately and not capped; the latency bound
+    holds whenever every committee coin was live by its bound.
     """
     kinds = report.msg_count_by_kind
-    crusader = kinds.get("CRUS_VAL", 0) + kinds.get("CRUS_RELAY", 0) + kinds.get("CRUS_AUX", 0)
-    checks = [
-        ("crusader", crusader, 4 * dp.s**2 * dp.q * instances),
-        ("publish", kinds.get("PUB", 0), n * dp.delta_cap * dp.q * instances),
-        ("broadcast", kinds.get("MAJ", 0), n * n * instances),
-        ("coin", kinds.get("COIN", 0), coin_cap * instances),
-    ]
-    for name, got, cap in checks:
-        if got > cap:
-            return AuditResult(False, name, f"{name}: {got} > cap {cap}")
+    got = {
+        "crusader": kinds.get("CRUS_VAL", 0) + kinds.get("CRUS_RELAY", 0) + kinds.get("CRUS_AUX", 0),
+        "publish": kinds.get("PUB", 0),
+        "broadcast": kinds.get("MAJ", 0),
+        "coin": kinds.get("COIN", 0),
+    }
+    for name, cap in message_caps(dp, n, coin_cap, instances).items():
+        if got[name] > cap:
+            return AuditResult(False, name, f"{name}: {got[name]} > cap {cap}")
     if report.coin_live_by_bound and not math.isinf(report.latency):
         if report.latency > R + 5.0 + 1e-9:
             return AuditResult(False, "latency", f"latency {report.latency} > {R + 5.0}")

@@ -30,7 +30,6 @@ from .combinatorics import (
     GenerationError,
     InfeasibleGraphError,
     InfeasibleLayoutError,
-    VerificationBudgetError,
 )
 from .params import ParamError, Poly, derive_params, preset_cost, transform_cost
 # run_simulation is not called here (trials run in analysis.run_trials); it
@@ -149,12 +148,11 @@ def cmd_verify(args):
     cfg = _config_from_args(args)
     layout, graphs = load_layout_file(args.layout)
     dp = _derived(cfg)
-    res = combinatorics.verify_committees(layout, None, cfg.alpha, cfg.epsilon, dp.c, args.mode)
+    res = combinatorics.verify_committees(layout, None, cfg.alpha, cfg.epsilon, dp.c)
     results = {"committees": {"passed": res.passed, "witness": res.witness, "checks": res.checks}}
     ok = res.passed
     for g in graphs:
-        gres = combinatorics.verify_publish_graph(
-            g, layout.committees[g.committee_id], dp.d, args.mode)
+        gres = combinatorics.verify_publish_graph(g, layout.committees[g.committee_id], dp.d)
         results[f"graph_{g.committee_id}"] = {"passed": gres.passed, "witness": gres.witness}
         ok = ok and gres.passed
     _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, results))
@@ -307,19 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-committees", help="generate a committee layout")
     _add_param_flags(p)
-    p.add_argument("--verify", choices=["exhaustive", "sampled", "none"], default="exhaustive")
+    p.add_argument("--verify", choices=combinatorics.VERIFY_MODES, default="exhaustive")
     p.set_defaults(func=cmd_gen_committees)
 
     p = sub.add_parser("gen-graphs", help="generate publish graphs for a layout")
     _add_param_flags(p)
     p.add_argument("--layout", required=True)
-    p.add_argument("--verify", choices=["exhaustive", "sampled", "none"], default="exhaustive")
+    p.add_argument("--verify", choices=combinatorics.VERIFY_MODES, default="exhaustive")
     p.set_defaults(func=cmd_gen_graphs)
 
     p = sub.add_parser("verify", help="re-verify a layout document")
     _add_param_flags(p)
     p.add_argument("--layout", required=True)
-    p.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("run-coin", help="run transformed-coin trials")
@@ -390,7 +387,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParamError, VerificationBudgetError, InfeasibleLayoutError, InfeasibleGraphError,
+    except (ParamError, InfeasibleLayoutError, InfeasibleGraphError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

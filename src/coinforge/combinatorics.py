@@ -14,16 +14,16 @@ Both caps are one property: no b-subset B of a universe gives cap or more
 rows threshold or more members in B. Each verifier checks its own input and
 vacuous cases, then hands its rows to one cap check (`_cap_check`). Both
 objects come from one Las-Vegas loop (`_las_vegas`): sample uniformly,
-verify, resample on failure, one Random(seed) feeding draws and verifier.
+verify, resample on failure, one Random(seed) feeding the draws.
 Sampling is a partial Fisher-Yates shuffle, which matches the hypergeometric
 analysis behind the failure bounds. Committees are public, deterministic
 objects fixed before any execution; the adversary never influences generation.
 
-Verification modes: "exhaustive" enumerates every maximal-size B (maximality
-suffices by monotonicity), "sampled" draws uniform sets plus one greedy
-adversarial set (parties ranked by membership count — a heuristic, never a
-proof), "none" skips. Exhaustive enumeration is budgeted by (B, row)
-membership checks; past the budget the caller is told to use sampled mode.
+Verification modes (`VERIFY_MODES`): "exhaustive" enumerates every
+maximal-size B (maximality suffices by monotonicity), so its pass is a proof;
+"none" skips and marks the object "unverified". Exhaustive enumeration is
+budgeted by (B, row) membership checks; a point past the budget is refused
+up front with VerificationBudgetError, which carries the checks and budget.
 Rows and fault sets are uint64 bitsets (`_kernels`); fault sets are built in
 lex order as a prefix ORed onto a tail of a cached suffix table, in chunks of
 at most _TABLE masks.
@@ -47,7 +47,6 @@ import itertools
 import json
 import math
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +55,21 @@ from ._kernels import mask_positions, membership_matrix, rows_meeting_threshold,
 from .params import ParamError
 
 DEFAULT_CHECK_BUDGET = 10_000_000
-DEFAULT_SAMPLE_TRIALS = 200
 DEFAULT_MAX_ATTEMPTS = 1000
 _CHUNK = 8192  # block size of the `checks` count on a failed scan
 _TABLE = 1 << 16  # most masks in one suffix table or one chunk
+VERIFY_MODES = ("exhaustive", "none")
 
 
 class VerificationBudgetError(ParamError):
-    """Exhaustive enumeration would exceed the configured check budget."""
+    """Exhaustive enumeration would need `checks` (B, row) checks, more than `budget`."""
+
+    def __init__(self, checks: int, budget: int):
+        self.checks, self.budget = checks, budget
+        super().__init__(
+            f"exhaustive verification needs {checks} checks, more than the budget of {budget}; "
+            f"--verify none writes an \"unverified\" object instead"
+        )
 
 
 class GenerationError(RuntimeError):
@@ -150,14 +156,6 @@ def sample_without_replacement(rng: random.Random, pool: list[int], k: int) -> t
     return tuple(sorted(items[:k]))
 
 
-def _verified_tag(mode: str, trials: int) -> str:
-    if mode == "exhaustive":
-        return "exhaustive"
-    if mode == "sampled":
-        return f"sampled({trials})"
-    return "unverified"
-
-
 def _fault_set_chunks(width: int, size: int):
     """Yield (rank of first, masks) chunks covering every size-subset of range(width) in lex order.
 
@@ -187,12 +185,6 @@ def _fault_set_chunks(width: int, size: int):
         yield rank, buf[:fill]
 
 
-def _local_rows(rows, universe):
-    """Rows of universe ids as lists of positions in `universe`; other ids never meet a B."""
-    position = {p: i for i, p in enumerate(universe)}
-    return [[position[p] for p in row if p in position] for row in rows]
-
-
 def _scan(rows, universe, size: int, threshold: float, cap: int):
     """First size-subset B of the sorted `universe` (lex order) that cap or more rows meet
     in >= threshold members, else None.
@@ -205,7 +197,8 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     if size == 0:
         return None, 0
     total = math.comb(len(universe), size)
-    member = membership_matrix(_local_rows(rows, universe), len(universe))
+    position = {p: i for i, p in enumerate(universe)}  # the verifiers refuse ids outside the universe
+    member = membership_matrix([[position[p] for p in row] for row in rows], len(universe))
     for rank, chunk in _fault_set_chunks(len(universe), size):
         counts = rows_meeting_threshold(member, chunk, threshold)
         bad = np.flatnonzero(counts >= cap)
@@ -216,56 +209,32 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     return None, len(rows) * total
 
 
-def _sampled_scan(rows, universe, size, threshold, cap, rng, trials):
-    """Uniform B draws plus one greedy adversarial B (highest-membership parties).
-
-    rows and the returned witness are in universe ids; the candidates are
-    checked in order, one kernel call for all of them, and `checks` counts
-    rows per candidate up to and including the first violating one.
-    """
-    if not size:
-        return None, 0
-    load = Counter(p for row in rows for p in row)
-    ranked = sorted(universe, key=lambda p: (-load[p], p))
-    pool = list(universe)
-    candidates = [tuple(sorted(ranked[:size]))]
-    for _ in range(trials):
-        candidates.append(sample_without_replacement(rng, pool, size))
-    member = membership_matrix(_local_rows(rows, universe), len(universe))
-    masks = membership_matrix(_local_rows(candidates, universe), len(universe))
-    bad = np.flatnonzero(rows_meeting_threshold(member, masks, threshold) >= cap)
-    if bad.size:
-        return candidates[bad[0]], (int(bad[0]) + 1) * len(rows)
-    return None, len(candidates) * len(rows)
-
-
-def _cap_check(rows, universe, size, threshold, cap, mode, rng, sample_trials, check_budget) -> VerifyResult:
+def _cap_check(rows, universe, size, threshold, cap, check_budget) -> VerifyResult:
     """Whether no size-subset B of the sorted `universe` gives cap or more `rows`
-    threshold or more members in B; exhaustive scans past check_budget
-    (B, row) checks are refused, sampled ones draw from rng or Random(0)."""
+    threshold or more members in B, by exhaustive scan; a scan past check_budget
+    (B, row) checks is refused."""
     if size == 0:
-        return VerifyResult(True, mode, enumerated=False, note="fault sets are empty")
-    if mode == "exhaustive":
-        total = math.comb(len(universe), size) * len(rows)
-        if total > check_budget:
-            raise VerificationBudgetError(
-                f"verification infeasible, use sampled: {total} checks exceed budget {check_budget}"
-            )
-        witness, checks = _scan(rows, universe, size, threshold, cap)
-    else:
-        witness, checks = _sampled_scan(rows, universe, size, threshold, cap,
-                                        rng or random.Random(0), sample_trials)
-    return VerifyResult(witness is None, mode, witness=witness, checks=checks)
+        return VerifyResult(True, "exhaustive", enumerated=False, note="fault sets are empty")
+    total = math.comb(len(universe), size) * len(rows)
+    if total > check_budget:
+        raise VerificationBudgetError(total, check_budget)
+    witness, checks = _scan(rows, universe, size, threshold, cap)
+    return VerifyResult(witness is None, "exhaustive", witness=witness, checks=checks)
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in VERIFY_MODES:
+        raise ParamError(f"unknown verify mode {mode!r}")
 
 
 def _las_vegas(what, seed, max_attempts, draw, verify):
-    """(object, attempt) of the first draw(rng) that verify(object, rng) passes,
-    one Random(seed) feeding both; the callables look up `sample_without_replacement`
+    """(object, attempt) of the first draw(rng) that verify(object) passes, one
+    Random(seed) feeding the draws; the callables look up `sample_without_replacement`
     and `verify_*` in this module at call time, so a wrapper set there sees each call."""
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         candidate = draw(rng)
-        if verify(candidate, rng).passed:
+        if verify(candidate).passed:
             return candidate, attempt
     raise GenerationError(f"no acceptable {what} within {max_attempts} resamples (seed {seed})")
 
@@ -316,15 +285,12 @@ def verify_committees(
     c: int,
     mode: str = "exhaustive",
     *,
-    rng: random.Random | None = None,
-    sample_trials: int = DEFAULT_SAMPLE_TRIALS,
     check_budget: int = DEFAULT_CHECK_BUDGET,
 ) -> VerifyResult:
     """Check the bad-committee cap: every maximal B overloads fewer than c committees.
 
     Exhaustive mode enumerates all B with |B| = floor((alpha-epsilon)*n); the
-    returned witness is the lexicographically smallest violating B. Sampled
-    mode draws uniform sets plus the greedy heavy-membership set.
+    returned witness is the lexicographically smallest violating B.
     """
     if isinstance(committees, CommitteeLayout):
         layout = committees
@@ -333,15 +299,13 @@ def verify_committees(
         raise ParamError("n is required when passing raw committees")
     if c < 1:
         raise ParamError("c must be at least 1")
-    if mode not in ("exhaustive", "sampled", "none"):
-        raise ParamError(f"unknown verify mode {mode!r}")
+    _check_mode(mode)
     b = committee_fault_size(n, alpha, epsilon)
     if mode == "none":
         return VerifyResult(True, mode, enumerated=False, note="verification skipped")
     if any(not 0 <= p < n for row in committees for p in row):
         raise ParamError(f"committee member ids must lie in [0, {n})")
-    return _cap_check(committees, range(n), b, alpha * len(committees[0]), c, mode,
-                      rng, sample_trials, check_budget)
+    return _cap_check(committees, range(n), b, alpha * len(committees[0]), c, check_budget)
 
 
 def gen_committees(
@@ -354,7 +318,6 @@ def gen_committees(
     seed: int,
     verify_mode: str = "exhaustive",
     *,
-    sample_trials: int = DEFAULT_SAMPLE_TRIALS,
     check_budget: int = DEFAULT_CHECK_BUDGET,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> CommitteeLayout:
@@ -364,7 +327,7 @@ def gen_committees(
     any c >= 1 (|Q_i ∩ B| = |B| <= (alpha-epsilon)*n < alpha*n), and the layout
     is marked exhaustively verified without enumeration.
 
-    In "exhaustive" and "sampled" modes the counting certificate of
+    In "exhaustive" mode the counting certificate of
     `check_committee_feasibility` runs next, before any draw: a point it
     proves infeasible raises InfeasibleLayoutError at once instead of spending
     max_attempts resamples. It uses no randomness, so layouts at points it
@@ -377,22 +340,23 @@ def gen_committees(
         raise ParamError("s must be in [1, n]")
     if q < 1:
         raise ParamError("q must be at least 1")
+    _check_mode(verify_mode)
     committee_fault_size(n, alpha, epsilon)  # epsilon > alpha is a ParamError
 
     if s == n:
         full = tuple(range(n))
         return CommitteeLayout(n, q, s, tuple(full for _ in range(q)), "exhaustive", seed, attempts=1)
-    if verify_mode in ("exhaustive", "sampled"):
+    if verify_mode == "exhaustive":
         check_committee_feasibility(n, q, s, alpha, epsilon, c)
 
     pool = list(range(n))
     committees, attempts = _las_vegas(
         "committee list", seed, max_attempts,
         lambda rng: tuple(sample_without_replacement(rng, pool, s) for _ in range(q)),
-        lambda committees, rng: verify_committees(
-            committees, n, alpha, epsilon, c, verify_mode,
-            rng=rng, sample_trials=sample_trials, check_budget=check_budget))
-    return CommitteeLayout(n, q, s, committees, _verified_tag(verify_mode, sample_trials), seed, attempts)
+        lambda committees: verify_committees(
+            committees, n, alpha, epsilon, c, verify_mode, check_budget=check_budget))
+    tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
+    return CommitteeLayout(n, q, s, committees, tag, seed, attempts)
 
 
 # --- publish graphs ---------------------------------------------------------
@@ -428,8 +392,6 @@ def verify_publish_graph(
     mode: str = "exhaustive",
     *,
     force_enumeration: bool = False,
-    rng: random.Random | None = None,
-    sample_trials: int = DEFAULT_SAMPLE_TRIALS,
     check_budget: int = DEFAULT_CHECK_BUDGET,
 ) -> VerifyResult:
     """Check the mishearing cap: every B ⊂ Q of size ceil(s/3)-1 leaves fewer
@@ -442,8 +404,7 @@ def verify_publish_graph(
     """
     if d < 1:
         raise ParamError("d must be at least 1")
-    if mode not in ("exhaustive", "sampled", "none"):
-        raise ParamError(f"unknown verify mode {mode!r}")
+    _check_mode(mode)
     if mode == "none":
         return VerifyResult(True, mode, enumerated=False, note="verification skipped")
     members = set(committee)
@@ -457,8 +418,7 @@ def verify_publish_graph(
             return VerifyResult(True, mode, enumerated=False, note="trivial: d exceeds receiver count")
         if delta >= math.ceil(2 * s / 3):
             return VerifyResult(True, mode, enumerated=False, note="trivial: degree at ceil(2s/3)")
-    return _cap_check(graph.adjacency, sorted(committee), graph_fault_size(s), delta / 2.0, d, mode,
-                      rng, sample_trials, check_budget)
+    return _cap_check(graph.adjacency, sorted(committee), graph_fault_size(s), delta / 2.0, d, check_budget)
 
 
 def gen_publish_graph(
@@ -470,7 +430,6 @@ def gen_publish_graph(
     verify_mode: str = "exhaustive",
     *,
     committee_id: int = 0,
-    sample_trials: int = DEFAULT_SAMPLE_TRIALS,
     check_budget: int = DEFAULT_CHECK_BUDGET,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> PublishGraph:
@@ -480,7 +439,7 @@ def gen_publish_graph(
     neighbors inside the committee (members' own vertices included; their
     tallies go unused by the protocol but the edges exist and are paid for).
 
-    In "exhaustive" and "sampled" modes the counting certificate of
+    In "exhaustive" mode the counting certificate of
     `check_graph_feasibility` runs first and refuses a point where no graph
     can pass, before any draw; it uses no randomness.
     """
@@ -489,17 +448,16 @@ def gen_publish_graph(
         raise ParamError("delta_cap must be in [1, s]")
     if d < 1:
         raise ParamError("d must be at least 1")
-    if verify_mode in ("exhaustive", "sampled"):
+    _check_mode(verify_mode)
+    if verify_mode == "exhaustive":
         check_graph_feasibility(s, n, d, delta_cap)
     members = sorted(committee)
-    tag = _verified_tag(verify_mode, sample_trials)
+    tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
     graph, _ = _las_vegas(
         "publish graph", seed, max_attempts,
         lambda rng: PublishGraph(
             committee_id, tuple(sample_without_replacement(rng, members, delta_cap) for _ in range(n)), tag, seed),
-        lambda graph, rng: verify_publish_graph(
-            graph, tuple(members), d, verify_mode,
-            rng=rng, sample_trials=sample_trials, check_budget=check_budget))
+        lambda graph: verify_publish_graph(graph, tuple(members), d, verify_mode, check_budget=check_budget))
     return graph
 
 

@@ -125,29 +125,42 @@ def load_layout_file(path: str):
         return loads_layout(fh.read())
 
 
+def _protocol_int(protocol: dict, key: str, default):
+    """protocol[key] (`default` when absent), refused unless an integer; a bool is no integer here."""
+    value = protocol.get(key, default)
+    if value is not default and type(value) is not int:
+        raise ParamError(f"protocol key {key!r} must be an integer, not {value!r}")
+    return value
+
+
+_BITS = {0: 0, 1: 1, "0": 0, "1": 1}  # a listed input bit, as a JSON integer or a character
+
+
 def build_protocol(cfg: ExperimentConfig):
     """Protocol factory + derived params from one config document."""
     kind = cfg.protocol.get("kind", "transform")
     if kind in ("transform", "multivalued"):
         if not cfg.layout_path:
             raise ParamError("missing layout file: transform runs need --layout")
+        ell = _protocol_int(cfg.protocol, "ell", 1)
         layout, graphs = load_layout_file(cfg.layout_path)
         cp = cfg.coin_params()
         dp = derive_params(cp, cfg.overrides or None)
         return protocols.TransformProtocol(cp, dp, layout, graphs, coin_mode=cfg.protocol.get("coin", "ideal"),
-                                           ell=int(cfg.protocol.get("ell", 1))), dp
+                                           ell=ell), dp
     if kind == "crusader":
-        s = int(cfg.protocol.get("s", cfg.n))
+        s = _protocol_int(cfg.protocol, "s", cfg.n)
         inputs = cfg.protocol.get("inputs", "random")
         if inputs == "random":
             make = lambda rng: [rng.getrandbits(1) for _ in range(s)]
         elif inputs in ("0", "1", 0, 1):
-            bit = int(inputs)
-            make = [bit] * s
+            make = [int(inputs)] * s
+        elif isinstance(inputs, (str, list)) and all(type(b) in (int, str) and b in _BITS for b in inputs):
+            make = [_BITS[b] for b in inputs]
         else:
-            make = [int(b) for b in inputs]
-        return protocols.CrusaderProtocol(s, make, cfg.protocol.get("t_local")), None
+            raise ParamError(f"protocol key 'inputs' must be 'random' or a list of 0/1 bits, not {inputs!r}")
+        return protocols.CrusaderProtocol(s, make, _protocol_int(cfg.protocol, "t_local", None)), None
     if kind == "benor":
-        s = int(cfg.protocol.get("s", cfg.n))
-        return protocols.BenorCoinProtocol(s, int(cfg.protocol.get("t_local", 0))), None
+        s = _protocol_int(cfg.protocol, "s", cfg.n)
+        return protocols.BenorCoinProtocol(s, _protocol_int(cfg.protocol, "t_local", 0)), None
     raise ParamError(f"unknown protocol kind {kind!r}")

@@ -426,20 +426,6 @@ class TransformProtocol:
     def make_party(self, pid, ctx):
         return TransformParty(pid, self, ctx)
 
-    def audit_caps(self, coin_M=None):
-        """Honest-message caps per kind group over all ell tosses, mirroring the cost accounting."""
-        coin_cap = 0.0
-        if coin_M is not None:
-            coin_cap = self.q * coin_M(self.s)
-        elif self.coin_mode == "benor":
-            coin_cap = self.q * self.s**2
-        return {
-            "crusader": 4 * self.s**2 * self.q * self.ell,
-            "publish": self.n * self.delta_cap * self.q * self.ell,
-            "broadcast": self.n**2 * self.ell,
-            "coin": coin_cap * self.ell,
-        }
-
 
 def per_bit_delta(target_delta: float, ell: int) -> float:
     return 1.0 - (1.0 - target_delta) / ell

@@ -13,7 +13,7 @@ import pytest
 from ap_oracle import oracle_derive
 from byz import PublishCorrupter, ScriptedByzantine, crusader_worst_cases, random_crusader_behavior
 from conftest import small_transform
-from coinforge.analysis import audit_transcript, verify_anticoncentration, wilson_interval
+from coinforge.analysis import audit_transcript, message_caps, verify_anticoncentration, wilson_interval
 from coinforge.cli import main as cli_main
 from coinforge import combinatorics
 from coinforge.combinatorics import (
@@ -292,8 +292,7 @@ def transform_honest_runs():
     assert layout.verified == "exhaustive"
     stats = {"trials": 0, "agreed": 0, "bit_ones": 0, "late": 0, "audit": 0,
              "msg_total_over": 0, "cp": cp, "dp": dp}
-    caps = proto.audit_caps()
-    total_cap = sum(caps.values())
+    total_cap = sum(message_caps(dp, cp.n).values())
     for i in range(10_000):
         rep = run_simulation(proto, FifoStrategy(), seed=mix64(0x7AC7, i))
         stats["trials"] += 1

@@ -421,3 +421,91 @@ def test_committee_targeter_ids_outside_the_layout_are_a_config_error(tmp_path, 
     assert run_cli("run-coin", "--layout", layout, *_COIN_FLAGS, "--t", "2", "--trials", "1",
                    "--strategy", f"committee_targeter:{targets}") == 3
     assert "must lie in [0, 5)" in capsys.readouterr().err
+
+
+# --- verification modes: exhaustive or none, and a budget refusal says why ----------
+
+_N40_FLAGS = ("--n", "40", "--override-q", "9", "--override-s", "20", "--override-c", "3",
+              "--alpha", "0.3333", "--epsilon", "0.125", "--seed", "1")
+
+
+def test_budget_refusal_names_the_checks_and_the_budget(tmp_path, capsys):
+    # b = floor((0.3333 - 0.125) * 40) = 8, so a full scan needs C(40, 8) * 9 = 692142165 checks
+    layout = str(tmp_path / "layout.json")
+    assert run_cli("gen-committees", *_N40_FLAGS, "--verify", "none", "--out", layout) == 0
+    for argv in (["gen-committees", *_N40_FLAGS, "--out", str(tmp_path / "x.json")],
+                 ["verify", *_N40_FLAGS, "--layout", layout]):
+        capsys.readouterr()
+        assert run_cli(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "692142165" in err and "10000000" in err
+        assert "--verify none" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-committees", "--verify", "sampled"],
+    ["gen-graphs", "--layout", "layout.json", "--verify", "sampled"],
+    ["verify", "--layout", "layout.json", "--mode", "sampled"],
+    ["verify", "--layout", "layout.json", "--mode", "exhaustive"],
+], ids=["gen-committees", "gen-graphs", "verify-sampled", "verify-exhaustive"])
+def test_sampled_verification_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        run_cli(*argv)
+    assert info.value.code == 2 and "usage:" in capsys.readouterr().err
+
+
+def test_verify_output_config_replays_as_a_run(tmp_path):
+    layout = _gen_layout(tmp_path)
+    out = tmp_path / "verify.json"
+    assert run_cli("verify", "--layout", layout, *_COIN_FLAGS, "--out", str(out)) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["mode"] == "secure" and config["layout_path"] == layout
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert run_cli("run-coin", "--config", str(cfg_path), "--trials", "2",
+                   "--out", str(tmp_path / "runs.json")) == 0
+
+
+# --- protocol-block values take their JSON types --------------------------------------
+
+
+@pytest.mark.parametrize("protocol,key", [
+    ({"kind": "multivalued", "ell": "x"}, "ell"),
+    ({"kind": "multivalued", "ell": 2.7}, "ell"),
+    ({"kind": "transform", "ell": True}, "ell"),
+    ({"kind": "crusader", "s": 4, "t_local": "1"}, "t_local"),
+    ({"kind": "crusader", "s": "4"}, "s"),
+    ({"kind": "crusader", "s": 4, "inputs": "01x1"}, "inputs"),
+    ({"kind": "crusader", "s": 4, "inputs": [0, 1, 2, 1]}, "inputs"),
+    ({"kind": "crusader", "s": 4, "inputs": [0, True, 1, 1]}, "inputs"),
+    ({"kind": "crusader", "s": 4, "inputs": 5}, "inputs"),
+    ({"kind": "benor", "s": 4, "t_local": 1.0}, "t_local"),
+], ids=["ell-string", "ell-float", "ell-bool", "t_local-string", "s-string", "inputs-string",
+        "inputs-2", "inputs-bool", "inputs-int", "benor-t_local-float"])
+def test_protocol_values_of_the_wrong_types_are_a_config_error(tmp_path, capsys, protocol, key):
+    layout = _gen_layout(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"protocol": protocol}))
+    capsys.readouterr()
+    assert run_cli("run-coin", "--config", str(path), "--layout", layout, *_COIN_FLAGS, "--trials", "2") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1 and repr(key) in err
+
+
+@pytest.mark.parametrize("protocol", [
+    {"kind": "crusader", "s": 4, "t_local": 1, "inputs": "0110"},
+    {"kind": "crusader", "s": 4, "inputs": [0, 1, 1, 0]},
+    {"kind": "crusader", "s": 4, "inputs": ["0", "1", "1", "0"]},
+    {"kind": "crusader", "s": 4, "inputs": 1},
+    {"kind": "benor", "s": 4, "t_local": 1},
+    {"kind": "multivalued", "ell": 2},
+], ids=["bit-string", "bit-list", "bit-char-list", "common-bit", "benor", "multivalued"])
+def test_protocol_values_of_their_types_run(tmp_path, protocol):
+    layout = _gen_layout(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"protocol": protocol}))
+    out = tmp_path / "runs.json"
+    assert run_cli("run-coin", "--config", str(path), "--layout", layout, *_COIN_FLAGS, "--trials", "2",
+                   "--out", str(out)) == 0
+    assert json.loads(out.read_text())["config"]["protocol"] == protocol

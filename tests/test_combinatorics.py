@@ -12,6 +12,7 @@ from coinforge.combinatorics import (
     InfeasibleGraphError,
     InfeasibleLayoutError,
     PublishGraph,
+    VERIFY_MODES,
     VerificationBudgetError,
     check_committee_feasibility,
     check_graph_feasibility,
@@ -62,9 +63,6 @@ def test_handbuilt_overloaded_layout_fails_with_lex_smallest_witness():
     res = verify_committees(layout, None, 1 / 3, 1 / 12, 2, "exhaustive")
     assert not res.passed
     assert res.witness == (0, 1)  # both committees 0 and 1 contain {0, 1}
-    sampled = verify_committees(layout, None, 1 / 3, 1 / 12, 2, "sampled",
-                                rng=random.Random(1))
-    assert not sampled.passed  # the greedy heavy-membership set finds it
 
 
 def test_feasible_layout_verifies_and_reverifies():
@@ -72,8 +70,6 @@ def test_feasible_layout_verifies_and_reverifies():
     assert layout.verified == "exhaustive"
     again = verify_committees(layout, None, 1 / 3, 1 / 12, 4, "exhaustive")
     assert again.passed  # idempotent
-    assert verify_committees(layout, None, 1 / 3, 1 / 12, 4, "sampled",
-                             rng=random.Random(0)).passed
     twin = gen_committees(8, 5, 4, 1 / 3, 1 / 12, 4, seed=11)
     assert twin.committees == layout.committees  # reproducible
 
@@ -161,7 +157,7 @@ def test_epsilon_above_alpha_is_a_param_error():
         gen_committees(8, 5, 4, 0.1, 0.3, 2, seed=0)
     with pytest.raises(ParamError, match="negative"):
         check_committee_feasibility(8, 5, 4, 0.1, 0.3, 2)
-    for mode in ("exhaustive", "sampled", "none"):
+    for mode in ("exhaustive", "none"):
         with pytest.raises(ParamError, match="negative"):
             verify_committees(((0, 1, 2, 3),), 8, 0.1, 0.3, 2, mode)
 
@@ -199,13 +195,12 @@ def test_graph_certificate_refuses_before_any_draw(monkeypatch):
     monkeypatch.setattr("coinforge.combinatorics.sample_without_replacement",
                         lambda *a: drawn.append(a))
     committee = tuple(range(0, 18, 2))
-    for mode in ("exhaustive", "sampled"):
-        with pytest.raises(InfeasibleGraphError, match=r"96 > \(d-1\)\*C\(9,2\) = 36") as info:
-            gen_publish_graph(committee, 16, 2, 4, seed=0, verify_mode=mode)
-        err = info.value
-        assert (err.s, err.n, err.delta, err.b, err.d) == (9, 16, 4, 2, 2)
-        assert (err.per_receiver, err.total, err.limit) == (6, 96, 36)
-        assert isinstance(err, GenerationError)
+    with pytest.raises(InfeasibleGraphError, match=r"96 > \(d-1\)\*C\(9,2\) = 36") as info:
+        gen_publish_graph(committee, 16, 2, 4, seed=0, verify_mode="exhaustive")
+    err = info.value
+    assert (err.s, err.n, err.delta, err.b, err.d) == (9, 16, 4, 2, 2)
+    assert (err.per_receiver, err.total, err.limit) == (6, 96, 36)
+    assert isinstance(err, GenerationError)
     assert drawn == []
 
 
@@ -231,8 +226,11 @@ def test_graph_certificate_spares_the_benchmark_point():
 
 def test_exhaustive_budget_rejection():
     committees = tuple(tuple(range(i, i + 10)) for i in range(6))
-    with pytest.raises(VerificationBudgetError, match="use sampled"):
+    with pytest.raises(VerificationBudgetError, match="--verify none") as info:
         verify_committees(committees, 40, 1 / 3, 1 / 12, 3, "exhaustive", check_budget=1000)
+    # b = floor((1/3 - 1/12) * 40) = 10: C(40, 10) fault sets times 6 committees
+    assert (info.value.checks, info.value.budget) == (math.comb(40, 10) * 6, 1000)
+    assert f"{math.comb(40, 10) * 6} checks" in str(info.value) and "budget of 1000" in str(info.value)
 
 
 def test_publish_graph_generation_and_exhaustive_verification():
@@ -345,7 +343,7 @@ def test_layout_documents_are_validated(what, edit):
         layout_from_document(doc)
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "sampled", "none"])
+@pytest.mark.parametrize("mode", ["exhaustive", "none"])
 def test_generated_layouts_load(mode):
     # the desk-scale test point and the benchmark's fairness and layout points
     points = ((8, 5, 4, 4, 1, 3, 1 / 12), (16, 9, 4, 3, 1, publish_degree(4, 1, 16), 0.15),
@@ -362,6 +360,23 @@ def test_generated_layouts_load(mode):
 def test_publish_graph_rows_outside_the_committee_are_refused():
     committee = tuple(range(7))
     graph = PublishGraph(0, ((0, 1, 99),) * 4, "x", 0)
-    for mode in ("exhaustive", "sampled"):
-        with pytest.raises(ParamError, match="members of the committee"):
-            verify_publish_graph(graph, committee, 2, mode)
+    with pytest.raises(ParamError, match="members of the committee"):
+        verify_publish_graph(graph, committee, 2, "exhaustive")
+
+
+@pytest.mark.parametrize("mode", ["sampled", "bogus"])
+def test_unknown_verify_modes_are_refused_before_any_draw(mode, monkeypatch):
+    assert VERIFY_MODES == ("exhaustive", "none")
+    drawn = []
+    monkeypatch.setattr("coinforge.combinatorics.sample_without_replacement",
+                        lambda *a: drawn.append(a))
+    committees = ((0, 1, 2, 3), (4, 5, 6, 7))
+    graph = PublishGraph(0, ((0, 1),) * 8, "x", 0)
+    for call in (lambda: verify_committees(committees, 8, 1 / 3, 1 / 12, 2, mode),
+                 lambda: verify_publish_graph(graph, committees[0], 2, mode),
+                 lambda: gen_committees(8, 5, 4, 1 / 3, 1 / 12, 4, seed=11, verify_mode=mode),
+                 lambda: gen_committees(8, 5, 8, 1 / 3, 1 / 12, 4, seed=11, verify_mode=mode),  # s = n
+                 lambda: gen_publish_graph(committees[0], 8, 1, 3, seed=0, verify_mode=mode)):
+        with pytest.raises(ParamError, match="unknown verify mode"):
+            call()
+    assert drawn == []

@@ -1,11 +1,10 @@
 """Behaviour digest of the two random objects: generators and verifiers, outcome by outcome.
 
 Each group runs a fixed grid of calls and hashes one JSON line per call: the
-returned dataclass, or the exception type, message and certificate fields,
-plus a digest of the rng state after every verifier call. The digests were
-recorded before the committee and publish-graph paths shared one cap check
-and one resample loop; any change to a result, a message, a `checks` count,
-a witness or the draws consumed shows up here.
+returned dataclass, or the exception type, message and certificate fields.
+The grids use the verify modes "exhaustive" and "none" (and an unknown mode
+in the verifier grids); any change to a result, a message, a `checks` count,
+a witness or a generated object shows up here.
 """
 
 import dataclasses
@@ -25,19 +24,17 @@ from coinforge.combinatorics import (
     verify_publish_graph,
 )
 
-MODES = ("exhaustive", "sampled", "none")
+MODES = ("exhaustive", "none")
 ALPHA_EPS = ((1 / 3, 1 / 12), (1 / 3, 1 / 3), (1 / 3, 0.5), (0.5, 0.1), (0.4, 0.15))  # b < 0 at (1/3, 0.5)
 
 
-def _outcome(call, rng=None):
+def _outcome(call):
     try:
         value = call()
     except Exception as exc:  # the digest records every exception, whatever its type
         line = ["raise", type(exc).__name__, str(exc), sorted(vars(exc).items())]
     else:
         line = ["ok", type(value).__name__, dataclasses.asdict(value)]
-    if rng is not None:
-        line.append(hashlib.sha256(repr(rng.getstate()).encode()).hexdigest()[:16])
     return json.dumps(line, sort_keys=True)
 
 
@@ -49,11 +46,11 @@ def _gen_committee_lines():
                 for c in (1, 2, 3, 4):
                     for alpha, eps in ALPHA_EPS:
                         k += 1
-                        mode = MODES[k % 3]
+                        mode = MODES[k % 2]
                         budget = (60, 10_000_000)[k % 4 != 0]
                         yield _outcome(lambda: gen_committees(
                             n, q, s, alpha, eps, c, seed=k, verify_mode=mode,
-                            sample_trials=3, check_budget=budget, max_attempts=3))
+                            check_budget=budget, max_attempts=3))
     for n, q, s, c in ((6, 3, 0, 2), (6, 3, 7, 2), (6, 0, 3, 2), (6, 3, 3, 0), (6, 3, 3, -1)):
         for mode in MODES:
             yield _outcome(lambda: gen_committees(n, q, s, 1 / 3, 1 / 12, c, seed=1, verify_mode=mode))
@@ -67,11 +64,11 @@ def _gen_graph_lines():
             for d in (1, 2, 3, n + 1):
                 for delta_cap in sorted({x for x in (1, 2, math.ceil(s / 2), math.ceil(2 * s / 3), s) if x <= s}):
                     k += 1
-                    mode = MODES[k % 3]
+                    mode = MODES[k % 2]
                     budget = (40, 10_000_000)[k % 5 != 0]
                     yield _outcome(lambda: gen_publish_graph(
                         committee, n, d, delta_cap, seed=k, verify_mode=mode, committee_id=k % 4,
-                        sample_trials=3, check_budget=budget, max_attempts=3))
+                        check_budget=budget, max_attempts=3))
     for d, delta_cap in ((0, 2), (-1, 2), (2, 0), (2, 5)):
         for mode in MODES:
             yield _outcome(lambda: gen_publish_graph((1, 3, 5, 7), 6, d, delta_cap, seed=1, verify_mode=mode))
@@ -87,16 +84,13 @@ def _verify_committee_lines():
             rows = rows + ((0, n),)  # an id outside [0, n)
         alpha, eps = ALPHA_EPS[2 if k % 19 == 0 else pick.choice((0, 1, 3, 4))]
         c = 0 if k % 17 == 0 else pick.randint(1, 4)
-        mode = (*MODES, "bogus")[pick.randrange(4) if k % 11 == 0 else pick.randrange(3)]
+        mode = (*MODES, "bogus")[pick.randrange(3) if k % 11 == 0 else pick.randrange(2)]
         budget = pick.choice((30, 10_000_000))
-        rng = random.Random(k) if k % 3 else None
         if k % 5 == 0:
             target, n_arg = CommitteeLayout(n, len(rows), s, rows, "unverified", k), None
         else:
             target, n_arg = rows, (None if k % 41 == 0 else n)
-        yield _outcome(lambda: verify_committees(
-            target, n_arg, alpha, eps, c, mode, rng=rng, sample_trials=pick.randint(0, 4),
-            check_budget=budget), rng)
+        yield _outcome(lambda: verify_committees(target, n_arg, alpha, eps, c, mode, check_budget=budget))
 
 
 def _verify_graph_lines():
@@ -111,34 +105,13 @@ def _verify_graph_lines():
             adjacency = adjacency[:-1] + ((99,),)  # a neighbour outside the committee
         graph = PublishGraph(k % 3, adjacency, "unverified", k)
         d = 0 if k % 23 == 0 else pick.randint(1, n + 1)
-        mode = (*MODES, "bogus")[pick.randrange(4) if k % 13 == 0 else pick.randrange(3)]
-        rng = random.Random(k) if k % 3 else None
+        mode = (*MODES, "bogus")[pick.randrange(3) if k % 13 == 0 else pick.randrange(2)]
         yield _outcome(lambda: verify_publish_graph(
-            graph, committee, d, mode, force_enumeration=pick.random() < 0.4, rng=rng,
-            sample_trials=pick.randint(0, 4), check_budget=pick.choice((25, 10_000_000))), rng)
-
-
-def _sampled_without_rng_lines():
-    """Sampled scans given no rng (a fixed Random(0)), at shapes where some witnesses
-    come from the uniform draws, not from the greedy candidate."""
-    pick = random.Random(7)
-    for _ in range(150):
-        n, s = pick.randint(9, 14), pick.randint(3, 5)
-        rows = tuple(tuple(sorted(pick.sample(range(n), s))) for _ in range(pick.randint(5, 9)))
-        yield _outcome(lambda: verify_committees(rows, n, 1 / 3, 1 / 12, pick.randint(2, 4), "sampled",
-                                                 sample_trials=12))
-    for _ in range(150):
-        s = pick.randint(6, 10)
-        committee = tuple(sorted(pick.sample(range(16), s)))
-        n, delta = pick.randint(6, 12), pick.randint(2, s - 2)
-        adjacency = tuple(tuple(sorted(pick.sample(committee, delta))) for _ in range(n))
-        graph = PublishGraph(0, adjacency, "unverified", 0)
-        yield _outcome(lambda: verify_publish_graph(graph, committee, pick.randint(2, 4), "sampled",
-                                                    force_enumeration=True, sample_trials=12))
+            graph, committee, d, mode, force_enumeration=pick.random() < 0.4,
+            check_budget=pick.choice((25, 10_000_000))))
 
 
 GROUPS = {
-    "sampled_without_rng": _sampled_without_rng_lines,
     "gen_committees": _gen_committee_lines,
     "gen_publish_graph": _gen_graph_lines,
     "verify_committees": _verify_committee_lines,
@@ -147,11 +120,10 @@ GROUPS = {
 
 # (number of calls, sha256 over their outcome lines)
 EXPECTED = {
-    "sampled_without_rng": (300, "d91156c4054ef1a59d8263a06ae0cb72513454b8d686ccd6ed5a568e44ce9e1c"),
-    "gen_committees": (1215, "b4c0271f4443071102121fbdf0908c44077f5bad24c84fc6bcbc11dfd0a06215"),
-    "gen_publish_graph": (460, "d5fa3ef6dd91a64304626d8bf9d28120bfa3a870834fe328b6d04a891d9706da"),
-    "verify_committees": (700, "fe115ff426d41f16d1a65e3ae21155aff0540843141af0e2516d90765274ef2c"),
-    "verify_publish_graph": (700, "9bbdd276900f9d11ed0d9e667473aacf15b2e1bb3419d1faaf5e003a75c42203"),
+    "gen_committees": (1210, "af19c921f893681276e5a27a9116f5b15c75c6d20073b0348ba40480d3f15628"),
+    "gen_publish_graph": (456, "de13c913848207e08189cd79e581c16a40137c5dc146c52b0887bdde4e458bc9"),
+    "verify_committees": (700, "9de637ad04bee9b55444100b677d115965d95c6385f75269c3a0e65ad1ce5916"),
+    "verify_publish_graph": (700, "8eee59ada242775e342b10796a282922bb01d3a595d1aec6143aae5298d175b8"),
 }
 
 
