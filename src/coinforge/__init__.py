@@ -50,7 +50,6 @@ from .protocols import (
     CrusaderProtocol,
     PublishProtocol,
     TransformProtocol,
-    benor_strong_coin,
     elect_leader,
     ideal_strong_coin,
     per_bit_delta,

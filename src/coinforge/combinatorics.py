@@ -23,7 +23,8 @@ Verification modes (`VERIFY_MODES`): "exhaustive" enumerates every
 maximal-size B (maximality suffices by monotonicity), so its pass is a proof;
 "none" skips and marks the object "unverified". Exhaustive enumeration is
 budgeted by (B, row) membership checks; a point past the budget is refused
-up front with VerificationBudgetError, which carries the checks and budget.
+up front, by the generators before any draw, with VerificationBudgetError,
+which carries the checks and budget.
 Rows and fault sets are uint64 bitsets (`_kernels`); fault sets are built in
 lex order as a prefix ORed onto a tail of a cached suffix table, in chunks of
 at most _TABLE masks.
@@ -215,11 +216,17 @@ def _cap_check(rows, universe, size, threshold, cap, check_budget) -> VerifyResu
     (B, row) checks is refused."""
     if size == 0:
         return VerifyResult(True, "exhaustive", enumerated=False, note="fault sets are empty")
-    total = math.comb(len(universe), size) * len(rows)
-    if total > check_budget:
-        raise VerificationBudgetError(total, check_budget)
+    _check_budget(len(universe), size, len(rows), check_budget)
     witness, checks = _scan(rows, universe, size, threshold, cap)
     return VerifyResult(witness is None, "exhaustive", witness=witness, checks=checks)
+
+
+def _check_budget(width: int, size: int, rows: int, check_budget: int) -> None:
+    """Refuse a scan of a width-element universe's size-subsets against `rows` rows
+    past check_budget checks; empty fault sets (size 0) need no scan."""
+    checks = math.comb(width, size) * rows
+    if size and checks > check_budget:
+        raise VerificationBudgetError(checks, check_budget)
 
 
 def _check_mode(mode: str) -> None:
@@ -262,8 +269,9 @@ def overloading_fault_sets(n: int, s: int, b: int, alpha: float) -> int:
     return sum(math.comb(s, j) * math.comb(n - s, b - j) for j in range(j_min, min(s, b) + 1))
 
 
-def check_committee_feasibility(n: int, q: int, s: int, alpha: float, epsilon: float, c: int) -> None:
-    """Raise InfeasibleLayoutError if q*N > (c-1)*C(n, b) proves no layout exists.
+def check_committee_feasibility(n: int, q: int, s: int, alpha: float, epsilon: float, c: int) -> int:
+    """Raise InfeasibleLayoutError if q*N > (c-1)*C(n, b) proves no layout exists,
+    else return b, the size of the fault sets that verification enumerates.
 
     Sufficient, not necessary: passing this check does not promise a layout.
     Empty fault sets (b = 0) overload nothing, as in `verify_committees`; a
@@ -271,10 +279,11 @@ def check_committee_feasibility(n: int, q: int, s: int, alpha: float, epsilon: f
     """
     b = committee_fault_size(n, alpha, epsilon)
     if b == 0:
-        return
+        return 0
     per_committee = overloading_fault_sets(n, s, b, alpha)
     if q * per_committee > (c - 1) * math.comb(n, b):
         raise InfeasibleLayoutError(n, q, s, b, c, per_committee)
+    return b
 
 
 def verify_committees(
@@ -347,7 +356,7 @@ def gen_committees(
         full = tuple(range(n))
         return CommitteeLayout(n, q, s, tuple(full for _ in range(q)), "exhaustive", seed, attempts=1)
     if verify_mode == "exhaustive":
-        check_committee_feasibility(n, q, s, alpha, epsilon, c)
+        _check_budget(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q, check_budget)
 
     pool = list(range(n))
     committees, attempts = _las_vegas(
@@ -366,8 +375,9 @@ def graph_fault_size(s: int) -> int:
     return math.ceil(s / 3) - 1
 
 
-def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> None:
-    """Raise InfeasibleGraphError if n*N > (d-1)*C(s, b) proves no publish graph exists.
+def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> int:
+    """Raise InfeasibleGraphError if n*N > (d-1)*C(s, b) proves no publish graph
+    exists, else return the size of the fault sets that verification enumerates.
 
     The publish-graph twin of `check_committee_feasibility`: a receiver row of
     delta_cap neighbours is deafened (>= delta_cap/2 of them in B) by exactly
@@ -375,14 +385,15 @@ def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> None:
     B of size b = ceil(s/3)-1 (0.5*delta_cap equals the verifier's
     delta_cap/2.0 exactly). It only runs where `verify_publish_graph` would
     enumerate: the d > n and delta_cap >= ceil(2s/3) short-circuits pass
-    every graph, and empty fault sets deafen nobody.
+    every graph, and empty fault sets deafen nobody; there it returns 0.
     """
     b = graph_fault_size(s)
     if d > n or delta_cap >= math.ceil(2 * s / 3) or b <= 0:
-        return
+        return 0
     per_receiver = overloading_fault_sets(s, delta_cap, b, 0.5)
     if n * per_receiver > (d - 1) * math.comb(s, b):
         raise InfeasibleGraphError(s, n, delta_cap, b, d, per_receiver)
+    return b
 
 
 def verify_publish_graph(
@@ -450,7 +461,7 @@ def gen_publish_graph(
         raise ParamError("d must be at least 1")
     _check_mode(verify_mode)
     if verify_mode == "exhaustive":
-        check_graph_feasibility(s, n, d, delta_cap)
+        _check_budget(s, check_graph_feasibility(s, n, d, delta_cap), n, check_budget)
     members = sorted(committee)
     tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
     graph, _ = _las_vegas(

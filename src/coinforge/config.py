@@ -148,19 +148,22 @@ def build_protocol(cfg: ExperimentConfig):
         dp = derive_params(cp, cfg.overrides or None)
         return protocols.TransformProtocol(cp, dp, layout, graphs, coin_mode=cfg.protocol.get("coin", "ideal"),
                                            ell=ell), dp
-    if kind == "crusader":
-        s = _protocol_int(cfg.protocol, "s", cfg.n)
-        inputs = cfg.protocol.get("inputs", "random")
-        if inputs == "random":
-            make = lambda rng: [rng.getrandbits(1) for _ in range(s)]
-        elif inputs in ("0", "1", 0, 1):
-            make = [int(inputs)] * s
-        elif isinstance(inputs, (str, list)) and all(type(b) in (int, str) and b in _BITS for b in inputs):
-            make = [_BITS[b] for b in inputs]
-        else:
-            raise ParamError(f"protocol key 'inputs' must be 'random' or a list of 0/1 bits, not {inputs!r}")
-        return protocols.CrusaderProtocol(s, make, _protocol_int(cfg.protocol, "t_local", None)), None
+    if kind not in ("crusader", "benor"):
+        raise ParamError(f"unknown protocol kind {kind!r}")
+    s = _protocol_int(cfg.protocol, "s", cfg.n)
+    if s < 1:
+        raise ParamError(f"protocol key 's' must be at least 1, not {s}")
     if kind == "benor":
-        s = _protocol_int(cfg.protocol, "s", cfg.n)
         return protocols.BenorCoinProtocol(s, _protocol_int(cfg.protocol, "t_local", 0)), None
-    raise ParamError(f"unknown protocol kind {kind!r}")
+    inputs = cfg.protocol.get("inputs", "random")
+    if inputs == "random":
+        make = lambda rng: [rng.getrandbits(1) for _ in range(s)]
+    elif inputs in ("0", "1", 0, 1):
+        make = [int(inputs)] * s
+    elif isinstance(inputs, (str, list)) and all(type(b) in (int, str) and b in _BITS for b in inputs):
+        if len(inputs) != s:
+            raise ParamError(f"protocol key 'inputs' must list s={s} bits, not {len(inputs)}")
+        make = [_BITS[b] for b in inputs]
+    else:
+        raise ParamError(f"protocol key 'inputs' must be 'random' or a list of 0/1 bits, not {inputs!r}")
+    return protocols.CrusaderProtocol(s, make, _protocol_int(cfg.protocol, "t_local", None)), None

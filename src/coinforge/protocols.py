@@ -5,13 +5,15 @@ The party interface. A protocol gives `n`, `setup_trial(rng)` (the per-trial
 context, drawn from its own seeded stream) and `make_party(pid, ctx)`. A party
 gives `on_start()` and `on_message(env)`, each returning the
 (recipients, inst, kind, payload) batches to send, and `output`, None until it
-decides. `on_coin(inst, bit)` is called only on members of ideal coin
+decides. `on_coin(inst, bit)` is called only on members of oracle coin
 instances. A protocol may also give `tag_space` and `maj_tag_space` (the
-instance counts that size the wire tags) and `coin_specs` (its committee coin
-instances); the simulator reads 1, 1 and no coins where they are missing.
-Every role below is a party: a standalone protocol's `make_party` returns the
-role itself, and the transformation party routes each envelope to the role of
-its instance. Scheduling, corruption and accounting live entirely in `simnet`.
+instance counts that size the wire tags), `coin_specs` (the oracle coins the
+simulator runs) and `benor_truth(ctx, corrupted)` (the (inst, fair, b*) of
+each majority-bit coin its parties run); the simulator reads 1, 1 and no coins
+where they are missing. Every role below is a party: a standalone protocol's
+`make_party` returns the role itself, `PublishProtocol.role` builds every
+publish role, and the transformation party routes each envelope to its role
+in that instance. Scheduling, corruption and accounting live entirely in `simnet`.
 
 Crusader agreement (binary, tolerates t < s/3 inside a committee of size s):
   1. broadcast VAL(input);
@@ -29,7 +31,8 @@ Non-members output b once more than Delta/2 distinct neighbors sent b or bot
 (a simultaneous double-threshold resolves deterministically to 0).
 
 Transformation: party i runs the committee coin in every committee containing
-i, feeds the coin output into that committee's publish instance, tallies
+i, feeds the coin output into that committee's publish instance (every
+publish graph must have the derived degree delta_cap), tallies
 publish outputs v_b, broadcasts the majority bit exactly when v0+v1 hits the
 live threshold, tallies first-bit-per-sender w_b, and outputs the majority
 exactly when w0+w1 hits floor(2n/3)+1 (ties resolve to 0 in both places).
@@ -123,6 +126,7 @@ class PublishMemberSM:
     """
 
     __slots__ = ("crusader", "receivers", "inst", "pub_sent", "output")
+    discarded_non_neighbor = 0  # only receivers discard publish sends
 
     def __init__(self, members, t_local, inst, receivers, input=None):
         self.crusader = CrusaderSM(members, t_local, inst, input)
@@ -221,8 +225,7 @@ class BenorSM:
         return []
 
 
-def ideal_strong_coin(inst: int, members: tuple[int, ...], delta: float, R: float,
-                      alpha: float, t_local: int = 0) -> CoinSpec:
+def ideal_strong_coin(inst: int, members: tuple[int, ...], delta: float, R: float, alpha: float) -> CoinSpec:
     """Oracle-backed committee coin: fair with probability delta per instance,
     every honest member outputs the common fresh bit within R of activation,
     the adversary chooses output times (and, for unfair instances, the member
@@ -232,23 +235,7 @@ def ideal_strong_coin(inst: int, members: tuple[int, ...], delta: float, R: floa
         raise ParamError("delta must be in (0, 1]")
     if R <= 0:
         raise ParamError("R must be positive")
-    return CoinSpec(inst, tuple(members), delta, R, alpha * len(members),
-                    mode="ideal", t_local=t_local)
-
-
-def benor_strong_coin(inst: int, members: tuple[int, ...], t_local: int) -> CoinSpec:
-    """Majority-of-broadcast-bits committee coin, run as real message traffic."""
-    return CoinSpec(inst, tuple(members), 1.0, 1.0, math.inf,
-                    mode="benor", t_local=t_local)
-
-
-def reverse_adjacency(committee, graph: PublishGraph) -> dict:
-    """Reverse adjacency of a publish graph: member -> the receiver vertices it serves, ascending."""
-    rev = {m: [] for m in committee}
-    for v, neighbors in enumerate(graph.adjacency):
-        for m in neighbors:
-            rev[m].append(v)
-    return {m: tuple(vs) for m, vs in rev.items()}
+    return CoinSpec(inst, tuple(members), delta, R, alpha * len(members))
 
 
 # --- transformation party ----------------------------------------------------
@@ -256,27 +243,23 @@ def reverse_adjacency(committee, graph: PublishGraph) -> dict:
 
 class TransformParty:
     """One party in all ell tosses. Roles are keyed by global instance id
-    e*q + j. Toss e keeps its publish tally v and MAJ tally w as counts of
-    zeros at 2e and ones at 2e+1, and its bit in bits[e]; `seen_maj` holds
-    sender*ell + e for each MAJ sender counted in toss e."""
+    e*q + j: its publish role in `pub`, its majority-bit coin in `benor`. Toss
+    e keeps its publish tally v and MAJ tally w as counts of zeros at 2e and
+    ones at 2e+1, and its bit in bits[e]; `seen_maj` holds sender*ell + e for
+    each MAJ sender counted in toss e."""
 
-    __slots__ = ("proto", "member_pub", "recv_pub", "benor", "v", "w", "seen_maj", "seen_pub", "bits", "output")
+    __slots__ = ("proto", "pub", "benor", "v", "w", "seen_maj", "seen_pub", "bits", "output")
 
     def __init__(self, pid, proto, ctx):
         self.proto = proto
-        self.member_pub = {}
-        self.recv_pub = {}
+        self.pub = {}
         self.benor = {}
         q, ell = proto.q, proto.ell
         for inst in range(q * ell):
-            j = inst % q
-            if pid in proto.member_sets[j]:
-                self.member_pub[inst] = PublishMemberSM(
-                    proto.committees[j], proto.t_local, inst, proto.receivers_of[j][pid])
-                if proto.coin_mode == "benor":
-                    self.benor[inst] = BenorSM(proto.committees[j], proto.t_local, inst, ctx[(inst, pid)])
-            else:
-                self.recv_pub[inst] = PublishReceiverSM(proto.neighbor_sets[j][pid], proto.delta_cap)
+            publish = proto.publish[inst % q]
+            self.pub[inst] = publish.role(pid, inst)
+            if proto.coin_mode == "benor" and pid in publish.member_set:
+                self.benor[inst] = BenorSM(publish.committee, proto.t_local, inst, ctx[(inst, pid)])
         self.v = [0, 0] * ell
         self.w = [0, 0] * ell
         self.seen_maj = set()
@@ -288,11 +271,9 @@ class TransformParty:
         return [msg for sm in self.benor.values() for msg in sm.on_start()]
 
     def on_coin(self, inst, bit):
-        # the member's publish output is taken from a later crusader message, never here
-        sm = self.member_pub.get(inst)
-        if sm is None or sm.crusader.input is not None:
-            return []
-        return sm.set_input(bit)
+        # called once per member and instance; the member's publish output is
+        # taken from a later crusader message, never here
+        return self.pub[inst].set_input(bit)
 
     def _pub_output(self, inst, b):
         # each instance counts once, so a toss's tally meets the live threshold once: one MAJ send
@@ -325,17 +306,15 @@ class TransformParty:
                                 value = (value << 1) | b
                             self.output = value
             return []
-        if kind == K_PUB:
-            sm = self.recv_pub.get(inst)
-        elif kind == K_COIN:
+        if kind == K_COIN:
             sm = self.benor.get(inst)
             if sm is not None and sm.output is None:
                 sm.on_message(env)
                 if sm.output is not None:
                     return self.on_coin(inst, sm.output)
             return []
-        else:
-            sm = self.member_pub.get(inst)
+        # each publish role ignores the kinds it does not handle
+        sm = self.pub.get(inst)
         if sm is None:
             return []
         msgs = sm.on_message(env)
@@ -345,7 +324,7 @@ class TransformParty:
 
     @property
     def discarded_non_neighbor(self):
-        return sum(sm.discarded_non_neighbor for sm in self.recv_pub.values())
+        return sum(sm.discarded_non_neighbor for sm in self.pub.values())
 
 
 # perfbench's tracer patches the handlers of `protocols.MultiParty` by name
@@ -368,8 +347,10 @@ class TransformProtocol:
         coin_mode: str = "ideal",
         ell: int = 1,
     ):
-        if layout.q != dp.q or layout.n != cp.n or layout.s != dp.s:
-            raise ParamError("layout does not match the derived parameters")
+        if (layout.q != dp.q or layout.n != cp.n or layout.s != dp.s
+                or any(g.delta_cap != dp.delta_cap for g in graphs)):
+            raise ParamError(f"layout does not match the derived parameters q={dp.q} n={cp.n} s={dp.s} "
+                             f"and publish graph degree delta_cap={dp.delta_cap}")
         if [g.committee_id for g in graphs] != list(range(dp.q)):
             raise ParamError("need one publish graph per committee, in committee_id order")
         if not (1 <= dp.live_threshold <= dp.q):
@@ -386,7 +367,6 @@ class TransformProtocol:
         self.q = dp.q
         self.s = dp.s
         self.alpha = cp.alpha
-        self.delta_cap = dp.delta_cap
         self.live_threshold = dp.live_threshold
         self.output_threshold = dp.output_threshold
         self.t_local = crusader_fault_bound(dp.s)
@@ -394,34 +374,21 @@ class TransformProtocol:
         self.maj_tag_space = ell
         self.all_parties = tuple(range(self.n))
 
-        self.committees = [tuple(c) for c in layout.committees]
-        self.member_sets = [frozenset(c) for c in self.committees]
-        self.neighbor_sets = [[frozenset(g.adjacency[v]) for v in range(self.n)] for g in graphs]
-        self.receivers_of = [reverse_adjacency(c, g) for c, g in zip(self.committees, graphs)]
-
+        self.publish = [PublishProtocol(c, self.n, g, None) for c, g in zip(layout.committees, graphs)]
+        instances = [(e * self.q + j, p.committee) for e in range(ell) for j, p in enumerate(self.publish)]
         if coin_mode == "ideal":
-            self.coin_specs = [
-                ideal_strong_coin(e * self.q + j, self.committees[j], cp.delta, cp.R, cp.alpha, self.t_local)
-                for e in range(ell) for j in range(self.q)
-            ]
+            self.coin_specs = [ideal_strong_coin(inst, members, cp.delta, cp.R, cp.alpha)
+                               for inst, members in instances]
+            self.benor_instances = []
         else:
-            self.coin_specs = [
-                benor_strong_coin(e * self.q + j, self.committees[j], self.t_local)
-                for e in range(ell) for j in range(self.q)
-            ]
+            self.benor_instances = instances
 
     def setup_trial(self, rng: random.Random):
-        """Benor-mode members' generated bits, in `coin_specs` order; shared
-        with BenorCoinProtocol."""
-        if self.coin_mode != "benor":
-            return None
-        return {(spec.inst, m): rng.getrandbits(1) for spec in self.coin_specs for m in spec.members}
+        """Benor-mode members' generated bits; empty with ideal coins."""
+        return draw_member_bits(rng, self.benor_instances)
 
-    def benor_truth(self, ctx, spec, corrupted):
-        """(fair, b*) of one benor instance from its honest members' generated bits."""
-        return benor_ground_truth(
-            [ctx[(spec.inst, m)] for m in spec.members if m not in corrupted],
-            len(spec.members), spec.t_local)
+    def benor_truth(self, ctx, corrupted):
+        return benor_instance_truth(self.benor_instances, self.t_local, ctx, corrupted)
 
     def make_party(self, pid, ctx):
         return TransformParty(pid, self, ctx)
@@ -454,6 +421,19 @@ def benor_ground_truth(honest_bits, s: int, t_local: int):
     return False, None
 
 
+def draw_member_bits(rng: random.Random, instances) -> dict:
+    """Each member's generated bit per (inst, member) of the majority-bit
+    instances [(inst, members), ...], drawn in list order, then member order."""
+    return {(inst, m): rng.getrandbits(1) for inst, members in instances for m in members}
+
+
+def benor_instance_truth(instances, t_local: int, ctx: dict, corrupted) -> list:
+    """(inst, fair, b*) of each majority-bit instance from its honest members' generated bits."""
+    return [(inst, *benor_ground_truth([ctx[(inst, m)] for m in members if m not in corrupted],
+                                       len(members), t_local))
+            for inst, members in instances]
+
+
 # --- standalone factories ----------------------------------------------------
 
 
@@ -478,40 +458,50 @@ class CrusaderProtocol:
 
 
 class PublishProtocol:
-    """One committee publishing over one graph; receivers are everyone else."""
+    """One committee publishing over one graph; receivers are everyone else.
+    `role` builds every publish role, standalone and inside the transformation."""
 
     def __init__(self, committee: tuple[int, ...], n: int, graph: PublishGraph, inputs):
         self.committee = tuple(sorted(committee))
         self.member_set = frozenset(committee)
         self.n = n
-        self.graph = graph
         self.inputs = inputs  # dict member -> bit, or callable rng -> dict
         self.t_local = crusader_fault_bound(len(committee))
         self.delta_cap = graph.delta_cap
-        self.receivers_of = reverse_adjacency(self.committee, graph)
+        self.neighbor_sets = [frozenset(row) for row in graph.adjacency]
+        served = {m: [] for m in self.committee}  # member -> the receiver vertices it serves, ascending
+        for v, row in enumerate(graph.adjacency):
+            for m in row:
+                served[m].append(v)
+        self.receivers_of = {m: tuple(vs) for m, vs in served.items()}
 
     def setup_trial(self, rng):
         return dict(self.inputs(rng)) if callable(self.inputs) else dict(self.inputs)
 
-    def make_party(self, pid, ctx):
+    def role(self, pid, inst, input=None):
+        """Party pid's role in publish instance `inst`: member or receiver."""
         if pid in self.member_set:
-            return PublishMemberSM(self.committee, self.t_local, 0, self.receivers_of[pid], ctx[pid])
-        return PublishReceiverSM(frozenset(self.graph.adjacency[pid]), self.delta_cap)
+            return PublishMemberSM(self.committee, self.t_local, inst, self.receivers_of[pid], input)
+        return PublishReceiverSM(self.neighbor_sets[pid], self.delta_cap)
+
+    def make_party(self, pid, ctx):
+        return self.role(pid, 0, ctx[pid] if pid in self.member_set else None)
 
 
 class BenorCoinProtocol:
     """Standalone majority-bit committee coin among s parties."""
 
-    coin_mode = "benor"
-
     def __init__(self, s: int, t_local: int):
         self.n = s
         self.t_local = t_local
         self.members = tuple(range(s))
-        self.coin_specs = (benor_strong_coin(0, self.members, t_local),)
+        self.benor_instances = [(0, self.members)]
 
-    setup_trial = TransformProtocol.setup_trial
-    benor_truth = TransformProtocol.benor_truth
+    def setup_trial(self, rng):
+        return draw_member_bits(rng, self.benor_instances)
+
+    def benor_truth(self, ctx, corrupted):
+        return benor_instance_truth(self.benor_instances, self.t_local, ctx, corrupted)
 
     def make_party(self, pid, ctx):
         return BenorSM(self.members, self.t_local, 0, ctx[(0, pid)])

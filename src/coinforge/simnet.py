@@ -132,8 +132,6 @@ class CoinSpec:
     delta: float
     R: float
     bad_threshold: float  # corrupted members >= this voids the fairness contract
-    mode: str = "ideal"  # ideal | benor
-    t_local: int = 0  # wait-threshold parameter for benor-mode instances
 
 
 class CoinInstance:
@@ -317,17 +315,12 @@ class Simulation:
         self.parties = [protocol.make_party(i, self._trial_ctx) for i in range(self.n)]
         self.output_times: list[float | None] = [None] * self.n
 
-        # committee coin oracles: ideal-mode instances draw (g, b*) at
-        # activation and schedule member outputs; benor-mode instances are
-        # real message traffic whose ground truth resolves at report time.
+        # committee coin oracles draw (g, b*) at activation and schedule member
+        # outputs; a coin the parties run themselves is message traffic, and
+        # its protocol reports the ground truth (`benor_truth`) at report time
         self.coin_instances: list[CoinInstance] = []
-        self._benor_specs: list[CoinSpec] = []
-        coin_specs = getattr(protocol, "coin_specs", ())
         strategy.bind(self, random.Random(mix64(seed, 2)))
-        for spec in coin_specs:
-            if spec.mode != "ideal":
-                self._benor_specs.append(spec)
-                continue
+        for spec in getattr(protocol, "coin_specs", ()):
             g = self.rng.random() < spec.delta
             b = self.rng.getrandbits(1)
             ci = CoinInstance(spec, g, b)
@@ -582,7 +575,7 @@ class Simulation:
 
         truth = []
         coin_live = True
-        pairs = []  # (fair, b_star) across ideal and benor instances
+        pairs = []  # (fair, b_star) across oracle and majority-bit instances
         for ci in self.coin_instances:
             eff = ci.resolve(self.corrupted)
             max_off = max((t for m, t in ci.output_times.items() if m not in self.corrupted),
@@ -597,10 +590,10 @@ class Simulation:
                 "max_offset": max_off,
             })
             pairs.append((eff, ci.b_star))
-        for spec in self._benor_specs:
-            g, b = self.protocol.benor_truth(self._trial_ctx, spec, self.corrupted)
-            truth.append({"instance": spec.inst, "g_drawn": g, "fair": g, "b_star": b, "max_offset": None})
-            pairs.append((g, b))
+        if hasattr(self.protocol, "benor_truth"):
+            for inst, g, b in self.protocol.benor_truth(self._trial_ctx, self.corrupted):
+                truth.append({"instance": inst, "g_drawn": g, "fair": g, "b_star": b, "max_offset": None})
+                pairs.append((g, b))
         truth.sort(key=lambda rec: rec["instance"])
 
         sum_bits = None

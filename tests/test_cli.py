@@ -108,6 +108,17 @@ def test_run_coin_and_event_log(tmp_path, capsys):
                          for ln in lines)
 
 
+def test_graph_degree_other_than_delta_cap_is_a_config_error(tmp_path, capsys):
+    # the desk point derives delta_cap = 3, the degree the graphs are drawn with
+    layout = _gen_layout(tmp_path)
+    capsys.readouterr()
+    rc = run_cli("run-coin", "--layout", layout, *_COIN_FLAGS, "--override-delta-cap", "1", "--trials", "2")
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: layout does not match the derived parameters")
+    assert "degree delta_cap=1" in err and err.count("\n") == 1
+
+
 def test_run_crusader_command(tmp_path):
     rc = run_cli("run-crusader", "--s", "4", "--inputs", "random", "--trials", "20",
                  "--strategy", "random_delay", "--seed", "3",
@@ -481,8 +492,14 @@ def test_verify_output_config_replays_as_a_run(tmp_path):
     ({"kind": "crusader", "s": 4, "inputs": [0, True, 1, 1]}, "inputs"),
     ({"kind": "crusader", "s": 4, "inputs": 5}, "inputs"),
     ({"kind": "benor", "s": 4, "t_local": 1.0}, "t_local"),
+    ({"kind": "crusader", "s": 4, "inputs": [0, 1]}, "inputs"),
+    ({"kind": "crusader", "s": 4, "inputs": "01"}, "inputs"),
+    ({"kind": "crusader", "s": 4, "inputs": "01100"}, "inputs"),
+    ({"kind": "crusader", "s": -1}, "s"),
+    ({"kind": "benor", "s": 0}, "s"),
 ], ids=["ell-string", "ell-float", "ell-bool", "t_local-string", "s-string", "inputs-string",
-        "inputs-2", "inputs-bool", "inputs-int", "benor-t_local-float"])
+        "inputs-2", "inputs-bool", "inputs-int", "benor-t_local-float", "inputs-short-list",
+        "inputs-short-string", "inputs-long-string", "s-negative", "benor-s-zero"])
 def test_protocol_values_of_the_wrong_types_are_a_config_error(tmp_path, capsys, protocol, key):
     layout = _gen_layout(tmp_path)
     path = tmp_path / "cfg.json"

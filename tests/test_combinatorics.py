@@ -7,6 +7,7 @@ import random
 import pytest
 
 from coinforge.combinatorics import (
+    DEFAULT_CHECK_BUDGET,
     CommitteeLayout,
     GenerationError,
     InfeasibleGraphError,
@@ -231,6 +232,30 @@ def test_exhaustive_budget_rejection():
     # b = floor((1/3 - 1/12) * 40) = 10: C(40, 10) fault sets times 6 committees
     assert (info.value.checks, info.value.budget) == (math.comb(40, 10) * 6, 1000)
     assert f"{math.comb(40, 10) * 6} checks" in str(info.value) and "budget of 1000" in str(info.value)
+
+
+def test_budget_refusal_comes_before_any_draw(monkeypatch):
+    drawn = []
+    monkeypatch.setattr("coinforge.combinatorics.sample_without_replacement",
+                        lambda *a: drawn.append(a))
+    # b = floor((0.3333 - 0.125) * 40) = 8: C(40, 8) fault sets times 9 committees
+    with pytest.raises(VerificationBudgetError) as info:
+        gen_committees(40, 9, 20, 0.3333, 0.125, 3, seed=1)
+    assert (info.value.checks, info.value.budget) == (math.comb(40, 8) * 9, DEFAULT_CHECK_BUDGET)
+    # s=9, delta=4, d=4 passes the graph certificate; b = 2: C(9, 2) fault sets times 16 rows
+    assert not _graph_certificate_fires(9, 16, 4, 4)
+    with pytest.raises(VerificationBudgetError) as info:
+        gen_publish_graph(tuple(range(9)), 16, 4, 4, seed=0, check_budget=100)
+    assert (info.value.checks, info.value.budget) == (math.comb(9, 2) * 16, 100)
+    assert drawn == []
+
+
+def test_points_that_pass_unscanned_are_never_refused_for_budget():
+    committee = tuple(range(9))
+    assert gen_publish_graph(committee, 16, 17, 4, seed=0, check_budget=0).verified == "exhaustive"  # d > n
+    assert gen_publish_graph(committee, 16, 2, 6, seed=0, check_budget=0).verified == "exhaustive"  # ceil(2s/3)
+    assert gen_publish_graph((0, 1), 16, 2, 1, seed=0, check_budget=0).verified == "exhaustive"  # b = 0
+    assert gen_committees(8, 5, 4, 1 / 3, 1 / 3, 4, seed=11, check_budget=0).verified == "exhaustive"  # b = 0
 
 
 def test_publish_graph_generation_and_exhaustive_verification():

@@ -10,11 +10,20 @@ from coinforge.protocols import (
     elect_leader,
     per_bit_delta,
 )
-from coinforge.simnet import AdversaryAction, StrategyViolation, mix64, run_simulation
+from coinforge.simnet import (
+    K_CRUS_VAL,
+    K_PUB,
+    AdversaryAction,
+    Simulation,
+    StrategyViolation,
+    mix64,
+    run_simulation,
+)
 from coinforge.strategies import (
     BenorBiaserStrategy,
     CommitteeTargeterStrategy,
     FifoStrategy,
+    PlannedStrategy,
     PublishDelayerStrategy,
     RandomDelayStrategy,
     Strategy,
@@ -86,7 +95,7 @@ def test_assigning_fair_coin_outputs_is_a_violation(transform_small):
             self.done = True
             g, _ = view.coin_truth(0)
             assert g  # delta = 1: always fair
-            member = view.protocol.committees[0][0]
+            member = view.protocol.layout.committees[0][0]
             return AdversaryAction.coin_set(0, member, time=0.5, bit=1)
 
     with pytest.raises(StrategyViolation, match="fair coin"):
@@ -117,6 +126,46 @@ def test_publish_delayer_delivers_at_deadline(transform_small):
     assert rep.all_honest_output
     pub = [e for e in sim.envelopes if e.kind == K_PUB and e.recipient != e.sender]
     assert pub and all(e.delivered_at - e.sent_at == 1.0 for e in pub)
+
+
+def test_kinds_a_role_does_not_handle_change_nothing(transform_small):
+    # a corrupted member x of committee 0 sends, while instance 0's crusader is
+    # in flight (fan-out at time 3), a publish message to another member and a
+    # crusader VAL to a receiver
+    _, _, layout, graphs, proto = transform_small
+    committee = layout.committees[0]
+    x, member = committee[0], committee[1]
+    receivers = [v for v in range(proto.n) if v not in committee]
+    deaf = next(v for v in receivers if x not in graphs[0].adjacency[v])  # x is not its neighbour
+
+    class Injector(PlannedStrategy):
+        def __init__(self, recipients_kinds):
+            self.recipients_kinds = recipients_kinds
+
+        def plan(self, view):
+            return [AdversaryAction.corrupt(x)] + [
+                AdversaryAction.inject({"sender": x, "recipient": r, "inst": 0, "kind": kind, "payload": 1},
+                                       time=2.5)
+                for r, kind in self.recipients_kinds]
+
+    def run(recipients_kinds):
+        sim = Simulation(proto, Injector(recipients_kinds), seed=6, t_budget=1)
+        rep = sim.run()
+        honest_sends = [(e.sender, e.recipient, e.inst, e.kind, e.payload, e.sent_at, e.delivered_at)
+                        for e in sim.envelopes if e.honest_at_send]
+        tallies = [(p.v, p.w, p.bits, p.seen_pub, p.output) for i, p in enumerate(sim.parties) if i != x]
+        return rep, honest_sends, tallies
+
+    base, base_sends, base_tallies = run([])
+    assert base.all_honest_output and base.discarded_non_neighbor == 0
+    misrouted, sends, tallies = run([(member, K_PUB), (receivers[0], K_CRUS_VAL)])
+    assert misrouted.byz_msg_count_by_kind == {"PUB": 1, "CRUS_VAL": 1}
+    assert (sends, tallies) == (base_sends, base_tallies)
+    assert (misrouted.outputs, misrouted.output_times) == (base.outputs, base.output_times)
+    assert misrouted.discarded_non_neighbor == 0  # a member does not count publish sends
+    deafened, sends, tallies = run([(member, K_PUB), (receivers[0], K_CRUS_VAL), (deaf, K_PUB)])
+    assert (sends, tallies) == (base_sends, base_tallies)
+    assert deafened.discarded_non_neighbor == 1  # only the receiver's discard
 
 
 # --- benor coin ---------------------------------------------------------------
