@@ -133,6 +133,7 @@ def cmd_gen_graphs(args):
     cfg = _config_from_args(args)
     layout, _ = load_layout_file(args.layout)
     dp = _derived(cfg)
+    protocols.check_layout_matches(cfg.n, dp, layout)
     graphs = []
     for j, committee in enumerate(layout.committees):
         graphs.append(combinatorics.gen_publish_graph(
@@ -148,6 +149,7 @@ def cmd_verify(args):
     cfg = _config_from_args(args)
     layout, graphs = load_layout_file(args.layout)
     dp = _derived(cfg)
+    protocols.check_layout_matches(cfg.n, dp, layout, graphs)
     res = combinatorics.verify_committees(layout, None, cfg.alpha, cfg.epsilon, dp.c)
     results = {"committees": {"passed": res.passed, "witness": res.witness, "checks": res.checks}}
     ok = res.passed
@@ -215,17 +217,9 @@ def cmd_run_crusader(args):
 
 def cmd_run_publish(args):
     cfg = _config_from_args(args)
-    layout, graphs = load_layout_file(args.layout)
-    graph = next((g for g in graphs if g.committee_id == args.committee), None)
-    if graph is None:
-        raise ParamError(f"--committee {args.committee}: the layout has no publish graph with that "
-                         f"committee_id (committees are 0..{layout.q - 1})")
-    committee = layout.committees[args.committee]
-    if args.split:
-        inputs = lambda rng: {m: rng.getrandbits(1) for m in committee}
-    else:
-        inputs = {m: args.common_bit for m in committee}
-    proto = protocols.PublishProtocol(committee, layout.n, graph, inputs)
+    cfg.protocol = {"kind": "publish", "committee": args.committee,
+                    "inputs": "split" if args.split else args.common_bit}
+    proto, _ = build_protocol(cfg)
     return _finish_trials("run-publish", cfg, list(_trials(cfg, proto)))
 
 

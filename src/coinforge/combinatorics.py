@@ -11,20 +11,24 @@ Two combinatorial objects back the protocol:
     Delta/2 neighbors in B.
 
 Both caps are one property: no b-subset B of a universe gives cap or more
-rows threshold or more members in B. Each verifier checks its own input and
-vacuous cases, then hands its rows to one cap check (`_cap_check`). Both
-objects come from one Las-Vegas loop (`_las_vegas`): sample uniformly,
-verify, resample on failure, one Random(seed) feeding the draws.
-Sampling is a partial Fisher-Yates shuffle, which matches the hypergeometric
-analysis behind the failure bounds. Committees are public, deterministic
-objects fixed before any execution; the adversary never influences generation.
+rows threshold or more members in B. Each verifier checks its own input,
+then hands its rows to one cap check (`_cap_check`). One rule (`_trivial`)
+passes a cap without a scan: empty fault sets, fewer rows than the cap, or
+fault sets smaller than the threshold (|row ∩ B| <= |B| < threshold), which
+covers every s = n layout at epsilon > 0 (b <= (alpha-epsilon)*n < alpha*s)
+and publish graphs of degree ceil(2s/3) or more. Both objects come from one
+Las-Vegas loop (`_las_vegas`): sample uniformly, verify, resample on failure,
+one Random(seed) feeding the draws. Sampling is a partial Fisher-Yates
+shuffle, which matches the hypergeometric analysis behind the failure bounds.
+Committees are public, deterministic objects fixed before any execution; the
+adversary never influences generation.
 
 Verification modes (`VERIFY_MODES`): "exhaustive" enumerates every
 maximal-size B (maximality suffices by monotonicity), so its pass is a proof;
 "none" skips and marks the object "unverified". Exhaustive enumeration is
-budgeted by (B, row) membership checks; a point past the budget is refused
+budgeted by (B, row) membership checks; a scan past the budget is refused
 up front, by the generators before any draw, with VerificationBudgetError,
-which carries the checks and budget.
+which carries the checks and budget. A cap the rule passes is never refused.
 Rows and fault sets are uint64 bitsets (`_kernels`); fault sets are built in
 lex order as a prefix ORed onto a tail of a cached suffix table, in chunks of
 at most _TABLE masks.
@@ -210,23 +214,38 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     return None, len(rows) * total
 
 
-def _cap_check(rows, universe, size, threshold, cap, check_budget) -> VerifyResult:
-    """Whether no size-subset B of the sorted `universe` gives cap or more `rows`
-    threshold or more members in B, by exhaustive scan; a scan past check_budget
-    (B, row) checks is refused."""
+def _trivial(rows: int, size: int, threshold: float, cap: int) -> str | None:
+    """Why no size-subset B can give cap or more of `rows` rows threshold or more
+    members in B, so that the cap holds without a scan; None if only a scan can tell."""
     if size == 0:
-        return VerifyResult(True, "exhaustive", enumerated=False, note="fault sets are empty")
-    _check_budget(len(universe), size, len(rows), check_budget)
+        return "fault sets are empty"
+    if rows < cap:
+        return "fewer rows than the cap"
+    if size < threshold:  # |row ∩ B| <= |B| < threshold
+        return "fault sets are smaller than the threshold"
+    return None
+
+
+def _cap_check(rows, universe, size, threshold, cap, check_budget, force=False) -> VerifyResult:
+    """Whether no size-subset B of the sorted `universe` gives cap or more `rows`
+    threshold or more members in B, by `_trivial` or else by exhaustive scan."""
+    reason = _check_budget(len(universe), size, len(rows), threshold, cap, check_budget, force)
+    if reason:
+        return VerifyResult(True, "exhaustive", enumerated=False, note=reason)
     witness, checks = _scan(rows, universe, size, threshold, cap)
     return VerifyResult(witness is None, "exhaustive", witness=witness, checks=checks)
 
 
-def _check_budget(width: int, size: int, rows: int, check_budget: int) -> None:
-    """Refuse a scan of a width-element universe's size-subsets against `rows` rows
-    past check_budget checks; empty fault sets (size 0) need no scan."""
+def _check_budget(width, size, rows, threshold, cap, check_budget, force=False) -> str | None:
+    """The `_trivial` reason the cap holds unscanned (under `force`, only for empty
+    fault sets), else None; a scan of more than check_budget checks is refused."""
+    reason = _trivial(rows, size, threshold, cap)
+    if reason and not (force and size):
+        return reason
     checks = math.comb(width, size) * rows
-    if size and checks > check_budget:
+    if checks > check_budget:
         raise VerificationBudgetError(checks, check_budget)
+    return None
 
 
 def _check_mode(mode: str) -> None:
@@ -274,12 +293,9 @@ def check_committee_feasibility(n: int, q: int, s: int, alpha: float, epsilon: f
     else return b, the size of the fault sets that verification enumerates.
 
     Sufficient, not necessary: passing this check does not promise a layout.
-    Empty fault sets (b = 0) overload nothing, as in `verify_committees`; a
-    negative b (epsilon > alpha) is a ParamError.
+    A negative b (epsilon > alpha) is a ParamError.
     """
     b = committee_fault_size(n, alpha, epsilon)
-    if b == 0:
-        return 0
     per_committee = overloading_fault_sets(n, s, b, alpha)
     if q * per_committee > (c - 1) * math.comb(n, b):
         raise InfeasibleLayoutError(n, q, s, b, c, per_committee)
@@ -298,8 +314,9 @@ def verify_committees(
 ) -> VerifyResult:
     """Check the bad-committee cap: every maximal B overloads fewer than c committees.
 
-    Exhaustive mode enumerates all B with |B| = floor((alpha-epsilon)*n); the
-    returned witness is the lexicographically smallest violating B.
+    Exhaustive mode enumerates all B with |B| = floor((alpha-epsilon)*n) where
+    `_trivial` does not pass the cap; the returned witness is the
+    lexicographically smallest violating B.
     """
     if isinstance(committees, CommitteeLayout):
         layout = committees
@@ -332,16 +349,13 @@ def gen_committees(
 ) -> CommitteeLayout:
     """Las-Vegas committee list generator.
 
-    With s = n there is nothing to sample: q copies of [n] satisfy the cap for
-    any c >= 1 (|Q_i ∩ B| = |B| <= (alpha-epsilon)*n < alpha*n), and the layout
-    is marked exhaustively verified without enumeration.
-
     In "exhaustive" mode the counting certificate of
-    `check_committee_feasibility` runs next, before any draw: a point it
+    `check_committee_feasibility` runs first, before any draw: a point it
     proves infeasible raises InfeasibleLayoutError at once instead of spending
     max_attempts resamples. It uses no randomness, so layouts at points it
     lets through are unchanged. It is sufficient, not necessary: a point can
-    pass it and still exhaust the resamples with GenerationError.
+    pass it and still exhaust the resamples with GenerationError. A scan past
+    check_budget is refused next, where `_trivial` does not pass the cap.
     """
     if c < 1:
         raise ParamError("c must be at least 1")
@@ -351,17 +365,14 @@ def gen_committees(
         raise ParamError("q must be at least 1")
     _check_mode(verify_mode)
     committee_fault_size(n, alpha, epsilon)  # epsilon > alpha is a ParamError
-
-    if s == n:
-        full = tuple(range(n))
-        return CommitteeLayout(n, q, s, tuple(full for _ in range(q)), "exhaustive", seed, attempts=1)
     if verify_mode == "exhaustive":
-        _check_budget(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q, check_budget)
+        _check_budget(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q, alpha * s, c, check_budget)
 
-    pool = list(range(n))
+    pool = list(range(n))  # at s = n every draw is q copies of [n], so none is sampled
     committees, attempts = _las_vegas(
         "committee list", seed, max_attempts,
-        lambda rng: tuple(sample_without_replacement(rng, pool, s) for _ in range(q)),
+        lambda rng: (tuple(pool),) * q if s == n else tuple(sample_without_replacement(rng, pool, s)
+                                                            for _ in range(q)),
         lambda committees: verify_committees(
             committees, n, alpha, epsilon, c, verify_mode, check_budget=check_budget))
     tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
@@ -383,13 +394,9 @@ def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> int:
     delta_cap neighbours is deafened (>= delta_cap/2 of them in B) by exactly
     N = overloading_fault_sets(s, delta_cap, b, 1/2) of the C(s, b) fault sets
     B of size b = ceil(s/3)-1 (0.5*delta_cap equals the verifier's
-    delta_cap/2.0 exactly). It only runs where `verify_publish_graph` would
-    enumerate: the d > n and delta_cap >= ceil(2s/3) short-circuits pass
-    every graph, and empty fault sets deafen nobody; there it returns 0.
+    delta_cap/2.0 exactly).
     """
     b = graph_fault_size(s)
-    if d > n or delta_cap >= math.ceil(2 * s / 3) or b <= 0:
-        return 0
     per_receiver = overloading_fault_sets(s, delta_cap, b, 0.5)
     if n * per_receiver > (d - 1) * math.comb(s, b):
         raise InfeasibleGraphError(s, n, delta_cap, b, d, per_receiver)
@@ -408,10 +415,8 @@ def verify_publish_graph(
     """Check the mishearing cap: every B ⊂ Q of size ceil(s/3)-1 leaves fewer
     than d receivers with >= Delta/2 neighbors in B.
 
-    Two quantifier-vacuous cases short-circuit without enumeration unless
-    force_enumeration is set: d > n (too few receivers to fail) and
-    Delta = ceil(2s/3) (|B| < s/3 <= Delta/2 makes the receiver condition
-    unreachable).
+    force_enumeration scans where `_trivial` would pass the graph unscanned,
+    except for empty fault sets.
     """
     if d < 1:
         raise ParamError("d must be at least 1")
@@ -421,15 +426,8 @@ def verify_publish_graph(
     members = set(committee)
     if not all(members.issuperset(row) for row in graph.adjacency):
         raise ParamError("publish-graph adjacency rows must hold only members of the committee")
-
-    s = len(committee)
-    delta = graph.delta_cap
-    if not force_enumeration:
-        if d > len(graph.adjacency):
-            return VerifyResult(True, mode, enumerated=False, note="trivial: d exceeds receiver count")
-        if delta >= math.ceil(2 * s / 3):
-            return VerifyResult(True, mode, enumerated=False, note="trivial: degree at ceil(2s/3)")
-    return _cap_check(graph.adjacency, sorted(committee), graph_fault_size(s), delta / 2.0, d, check_budget)
+    return _cap_check(graph.adjacency, sorted(committee), graph_fault_size(len(committee)),
+                      graph.delta_cap / 2.0, d, check_budget, force_enumeration)
 
 
 def gen_publish_graph(
@@ -452,7 +450,8 @@ def gen_publish_graph(
 
     In "exhaustive" mode the counting certificate of
     `check_graph_feasibility` runs first and refuses a point where no graph
-    can pass, before any draw; it uses no randomness.
+    can pass, before any draw; it uses no randomness. A scan past
+    check_budget is refused next, where `_trivial` does not pass the cap.
     """
     s = len(committee)
     if not (1 <= delta_cap <= s):
@@ -461,7 +460,7 @@ def gen_publish_graph(
         raise ParamError("d must be at least 1")
     _check_mode(verify_mode)
     if verify_mode == "exhaustive":
-        _check_budget(s, check_graph_feasibility(s, n, d, delta_cap), n, check_budget)
+        _check_budget(s, check_graph_feasibility(s, n, d, delta_cap), n, delta_cap / 2.0, d, check_budget)
     members = sorted(committee)
     tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
     graph, _ = _las_vegas(

@@ -137,13 +137,15 @@ _BITS = {0: 0, 1: 1, "0": 0, "1": 1}  # a listed input bit, as a JSON integer or
 
 
 def build_protocol(cfg: ExperimentConfig):
-    """Protocol factory + derived params from one config document."""
+    """Protocol factory + derived params (None for the standalone kinds) from one config document."""
     kind = cfg.protocol.get("kind", "transform")
-    if kind in ("transform", "multivalued"):
+    if kind in ("transform", "multivalued", "publish"):
         if not cfg.layout_path:
-            raise ParamError("missing layout file: transform runs need --layout")
-        ell = _protocol_int(cfg.protocol, "ell", 1)
+            raise ParamError(f"missing layout file: {kind} runs need --layout")
         layout, graphs = load_layout_file(cfg.layout_path)
+        if kind == "publish":
+            return _publish_protocol(cfg.protocol, layout, graphs), None
+        ell = _protocol_int(cfg.protocol, "ell", 1)
         cp = cfg.coin_params()
         dp = derive_params(cp, cfg.overrides or None)
         return protocols.TransformProtocol(cp, dp, layout, graphs, coin_mode=cfg.protocol.get("coin", "ideal"),
@@ -153,8 +155,11 @@ def build_protocol(cfg: ExperimentConfig):
     s = _protocol_int(cfg.protocol, "s", cfg.n)
     if s < 1:
         raise ParamError(f"protocol key 's' must be at least 1, not {s}")
+    t_local = _protocol_int(cfg.protocol, "t_local", 0 if kind == "benor" else None)
+    if t_local is not None and not 0 <= t_local < s:
+        raise ParamError(f"protocol key 't_local' must lie in [0, s={s}), not {t_local}")
     if kind == "benor":
-        return protocols.BenorCoinProtocol(s, _protocol_int(cfg.protocol, "t_local", 0)), None
+        return protocols.BenorCoinProtocol(s, t_local), None
     inputs = cfg.protocol.get("inputs", "random")
     if inputs == "random":
         make = lambda rng: [rng.getrandbits(1) for _ in range(s)]
@@ -166,4 +171,23 @@ def build_protocol(cfg: ExperimentConfig):
         make = [_BITS[b] for b in inputs]
     else:
         raise ParamError(f"protocol key 'inputs' must be 'random' or a list of 0/1 bits, not {inputs!r}")
-    return protocols.CrusaderProtocol(s, make, _protocol_int(cfg.protocol, "t_local", None)), None
+    return protocols.CrusaderProtocol(s, make, t_local), None
+
+
+def _publish_protocol(protocol: dict, layout, graphs):
+    """One committee of the layout publishing over its graph: `committee` is its id (default 0),
+    and `inputs` is "split" (a random bit per member and trial) or a common bit, 0 or 1 (default)."""
+    j = _protocol_int(protocol, "committee", 0)
+    graph = next((g for g in graphs if g.committee_id == j), None)
+    if graph is None:
+        raise ParamError(f"protocol key 'committee' is {j}, but the layout has no publish graph with that "
+                         f"committee_id (committees are 0..{layout.q - 1})")
+    committee = layout.committees[j]
+    inputs = protocol.get("inputs", 1)
+    if inputs == "split":
+        make = lambda rng: {m: rng.getrandbits(1) for m in committee}
+    elif type(inputs) is int and inputs in (0, 1):
+        make = {m: inputs for m in committee}
+    else:
+        raise ParamError(f"protocol key 'inputs' of a publish run must be 'split', 0 or 1, not {inputs!r}")
+    return protocols.PublishProtocol(committee, layout.n, graph, make)

@@ -331,6 +331,15 @@ class TransformParty:
 MultiParty = TransformParty
 
 
+def check_layout_matches(n: int, dp: DerivedParams, layout: CommitteeLayout, graphs=()) -> None:
+    """Refuse a layout built for another instance: its n, q and s, and the degree of
+    every given publish graph, must be n and the derived dp.q, dp.s and dp.delta_cap."""
+    if (layout.q != dp.q or layout.n != n or layout.s != dp.s
+            or any(g.delta_cap != dp.delta_cap for g in graphs)):
+        raise ParamError(f"layout does not match the derived parameters q={dp.q} n={n} s={dp.s} "
+                         f"and publish graph degree delta_cap={dp.delta_cap}")
+
+
 class TransformProtocol:
     """Factory for ell parallel tosses of the transformed coin over a fixed
     committee layout (instance layout in the module docstring). For a
@@ -347,10 +356,7 @@ class TransformProtocol:
         coin_mode: str = "ideal",
         ell: int = 1,
     ):
-        if (layout.q != dp.q or layout.n != cp.n or layout.s != dp.s
-                or any(g.delta_cap != dp.delta_cap for g in graphs)):
-            raise ParamError(f"layout does not match the derived parameters q={dp.q} n={cp.n} s={dp.s} "
-                             f"and publish graph degree delta_cap={dp.delta_cap}")
+        check_layout_matches(cp.n, dp, layout, graphs)
         if [g.committee_id for g in graphs] != list(range(dp.q)):
             raise ParamError("need one publish graph per committee, in committee_id order")
         if not (1 <= dp.live_threshold <= dp.q):

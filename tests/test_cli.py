@@ -119,6 +119,33 @@ def test_graph_degree_other_than_delta_cap_is_a_config_error(tmp_path, capsys):
     assert "degree delta_cap=1" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "gen-graphs"])
+@pytest.mark.parametrize("change", [("--n", "16"), ("--override-q", "7", "--override-s", "3")], ids=["n", "q-s"])
+def test_layout_for_other_parameters_is_a_config_error(tmp_path, capsys, command, change):
+    # the desk layout has n=8, q=5, s=4; a flag that derives another instance refuses it
+    layout = _gen_layout(tmp_path)
+    before = open(layout).read()
+    flags = dict(zip(_COIN_FLAGS[::2], _COIN_FLAGS[1::2]))
+    flags.update(zip(change[::2], change[1::2]))
+    capsys.readouterr()
+    assert run_cli(command, "--layout", layout, *(x for kv in flags.items() for x in kv),
+                   "--out", str(tmp_path / "out.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: layout does not match the derived parameters") and err.count("\n") == 1
+    assert open(layout).read() == before and not (tmp_path / "out.json").exists()
+
+
+def test_derived_s_equal_n_layout_verifies_without_a_scan(tmp_path, capsys):
+    # n=40 derives s = n = 40, q = 81 and c = 1; b = floor((1/3 - 0.05) * 40) = 11 < 40/3,
+    # so no fault set overloads a committee, while a scan would need 81 * C(40, 11) checks
+    layout, out = str(tmp_path / "layout-n40.json"), tmp_path / "verify.json"
+    assert run_cli("gen-committees", "--n", "40", "--seed", "3", "--out", layout) == 0
+    assert "s=40 verified=exhaustive" in capsys.readouterr().out
+    assert run_cli("verify", "--layout", layout, "--n", "40", "--out", str(out)) == 0
+    assert capsys.readouterr().out == "verify: pass\n"
+    assert json.loads(out.read_text())["results"] == {"committees": {"passed": True, "witness": None, "checks": 0}}
+
+
 def test_run_crusader_command(tmp_path):
     rc = run_cli("run-crusader", "--s", "4", "--inputs", "random", "--trials", "20",
                  "--strategy", "random_delay", "--seed", "3",
@@ -132,6 +159,27 @@ def test_run_publish_command(tmp_path):
                  "--common-bit", "1", "--trials", "10", "--seed", "5",
                  "--out", str(tmp_path / "p.json"))
     assert rc == 0
+
+
+def test_run_publish_output_config_replays(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _gen_layout(tmp_path)
+    for inputs in (["--split"], ["--common-bit", "0"]):
+        assert run_cli("run-publish", "--layout", "layout.json", "--committee", "2", *inputs,
+                       "--strategy", "random_delay", "--trials", "4", "--seed", "5", "--out", "out.json") == 0
+        doc = json.loads(open("out.json").read())
+        assert doc["config"]["protocol"] == {"kind": "publish", "committee": 2,
+                                             "inputs": "split" if inputs == ["--split"] else 0}
+        open("cfg.json", "w").write(json.dumps(doc["config"]))
+        assert run_cli("run-coin", "--config", "cfg.json", "--out", "replay.json") == 0
+        assert json.loads(open("replay.json").read())["results"]["reports"] == doc["results"]["reports"]
+
+
+def test_publish_config_without_a_layout_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"protocol": {"kind": "publish", "committee": 0, "inputs": 1}}))
+    assert run_cli("run-coin", "--config", str(path), "--trials", "1") == 3
+    assert "missing layout file" in capsys.readouterr().err
 
 
 def test_estimate_fairness_command(tmp_path, capsys):
@@ -497,9 +545,18 @@ def test_verify_output_config_replays_as_a_run(tmp_path):
     ({"kind": "crusader", "s": 4, "inputs": "01100"}, "inputs"),
     ({"kind": "crusader", "s": -1}, "s"),
     ({"kind": "benor", "s": 0}, "s"),
+    ({"kind": "benor", "s": 4, "t_local": 4}, "t_local"),
+    ({"kind": "benor", "s": 4, "t_local": -3}, "t_local"),
+    ({"kind": "crusader", "s": 4, "t_local": -1}, "t_local"),
+    ({"kind": "crusader", "s": 4, "t_local": 9}, "t_local"),
+    ({"kind": "publish", "committee": "1"}, "committee"),
+    ({"kind": "publish", "inputs": "random"}, "inputs"),
+    ({"kind": "publish", "inputs": True}, "inputs"),
 ], ids=["ell-string", "ell-float", "ell-bool", "t_local-string", "s-string", "inputs-string",
         "inputs-2", "inputs-bool", "inputs-int", "benor-t_local-float", "inputs-short-list",
-        "inputs-short-string", "inputs-long-string", "s-negative", "benor-s-zero"])
+        "inputs-short-string", "inputs-long-string", "s-negative", "benor-s-zero",
+        "benor-t_local-s", "benor-t_local-negative", "t_local-negative", "t_local-past-s",
+        "publish-committee-string", "publish-inputs-random", "publish-inputs-bool"])
 def test_protocol_values_of_the_wrong_types_are_a_config_error(tmp_path, capsys, protocol, key):
     layout = _gen_layout(tmp_path)
     path = tmp_path / "cfg.json"
@@ -510,6 +567,11 @@ def test_protocol_values_of_the_wrong_types_are_a_config_error(tmp_path, capsys,
     assert err.startswith("config error:") and err.count("\n") == 1 and repr(key) in err
 
 
+def test_run_crusader_t_local_outside_the_committee_is_a_config_error(capsys):
+    assert run_cli("run-crusader", "--s", "4", "--t-local", "4", "--trials", "1") == 3
+    assert "'t_local' must lie in [0, s=4)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("protocol", [
     {"kind": "crusader", "s": 4, "t_local": 1, "inputs": "0110"},
     {"kind": "crusader", "s": 4, "inputs": [0, 1, 1, 0]},
@@ -517,7 +579,11 @@ def test_protocol_values_of_the_wrong_types_are_a_config_error(tmp_path, capsys,
     {"kind": "crusader", "s": 4, "inputs": 1},
     {"kind": "benor", "s": 4, "t_local": 1},
     {"kind": "multivalued", "ell": 2},
-], ids=["bit-string", "bit-list", "bit-char-list", "common-bit", "benor", "multivalued"])
+    {"kind": "benor", "s": 4, "t_local": 3},
+    {"kind": "crusader", "s": 4, "t_local": 0},
+    {"kind": "publish", "committee": 4, "inputs": "split"},
+], ids=["bit-string", "bit-list", "bit-char-list", "common-bit", "benor", "multivalued", "benor-t_local-top",
+        "t_local-zero", "publish"])
 def test_protocol_values_of_their_types_run(tmp_path, protocol):
     layout = _gen_layout(tmp_path)
     path = tmp_path / "cfg.json"

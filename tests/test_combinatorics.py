@@ -53,6 +53,15 @@ def test_full_committee_branch():
     assert res.passed
 
 
+def test_full_committees_at_epsilon_zero_are_no_proof():
+    # b = floor(0.5 * 6) = 3 reaches alpha*s = 3: {0, 1, 2} overloads every copy of [6]
+    res = verify_committees((tuple(range(6)),) * 3, 6, 0.5, 0.0, 1, "exhaustive")
+    assert not res.passed and res.witness == (0, 1, 2)
+    with pytest.raises(InfeasibleLayoutError):
+        gen_committees(6, 3, 6, 0.5, 0.0, 1, seed=0)
+    assert gen_committees(6, 3, 6, 0.5, 0.0, 1, seed=0, verify_mode="none").verified == "unverified"
+
+
 def test_c_zero_rejected():
     with pytest.raises(ParamError, match="c must be at least 1"):
         gen_committees(14, 9, 6, 1 / 3, 1 / 12, 0, seed=0)
@@ -256,6 +265,12 @@ def test_points_that_pass_unscanned_are_never_refused_for_budget():
     assert gen_publish_graph(committee, 16, 2, 6, seed=0, check_budget=0).verified == "exhaustive"  # ceil(2s/3)
     assert gen_publish_graph((0, 1), 16, 2, 1, seed=0, check_budget=0).verified == "exhaustive"  # b = 0
     assert gen_committees(8, 5, 4, 1 / 3, 1 / 3, 4, seed=11, check_budget=0).verified == "exhaustive"  # b = 0
+    # b = ceil(9/3)-1 = 2 < 5/2: no receiver can be deafened, at a degree below ceil(2s/3)
+    assert gen_publish_graph(committee, 16, 2, 5, seed=0, check_budget=0).verified == "exhaustive"
+    assert gen_committees(40, 9, 20, 0.3333, 0.125, 10, seed=1, check_budget=0).attempts == 1  # q < c
+    res = verify_committees(gen_committees(40, 9, 40, 0.3333, 0.125, 3, seed=1, check_budget=0), None,
+                            0.3333, 0.125, 3, check_budget=0)  # s = n: b = 8 < alpha*s
+    assert res.passed and not res.enumerated and res.note == "fault sets are smaller than the threshold"
 
 
 def test_publish_graph_generation_and_exhaustive_verification():
@@ -280,7 +295,7 @@ def test_publish_graph_trivial_branches():
     committee = tuple(range(9))
     g = gen_publish_graph(committee, 4, 1, 6, seed=1, verify_mode="none")
     res = verify_publish_graph(g, committee, 5, "exhaustive")  # d > n
-    assert res.passed and not res.enumerated and "d exceeds" in res.note
+    assert res.passed and not res.enumerated and "fewer rows" in res.note
 
 
 def test_failure_bounds():

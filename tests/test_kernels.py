@@ -80,7 +80,8 @@ def _check_committees(committees, n, alpha, epsilon, c):
     b = combinatorics.committee_fault_size(n, alpha, epsilon)
     want = _reference_scan(committees, list(range(n)), b, alpha * len(committees[0]), c)
     res = verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
-    assert (res.witness, res.checks) == want
+    if res.enumerated:
+        assert (res.witness, res.checks) == want
     assert res.passed == (want[0] is None)
     return res
 
@@ -88,14 +89,18 @@ def _check_committees(committees, n, alpha, epsilon, c):
 def test_scan_matches_reference_on_random_layouts():
     rng = random.Random(2024)
     outcomes = set()
+    scanned = 0
     for _ in range(60):
         n = rng.choice([8, 10, 13, 16])
         s = rng.randint(2, n // 2 + 1)
         q = rng.randint(1, 9)
         c = rng.randint(1, 4)
         committees = tuple(sample_without_replacement(rng, list(range(n)), s) for _ in range(q))
-        outcomes.add(_check_committees(committees, n, 1 / 3, 1 / 12, c).passed)
+        res = _check_committees(committees, n, 1 / 3, 1 / 12, c)
+        outcomes.add(res.passed)
+        scanned += res.enumerated
     assert outcomes == {True, False}
+    assert scanned >= 50
 
 
 @pytest.mark.parametrize("n,b,start", [
@@ -116,6 +121,44 @@ def test_scan_full_pass_counts_every_check():
     assert _scan(rows, range(30), 4, 4.0, 1) == (None, 3 * math.comb(30, 4))
     assert _scan(rows, range(30), 0, 1.0, 1) == (None, 0)
     assert _scan(rows, range(30), 4, 3.0, 3) == ((0, 1, 2, 3), 3 * 8192)
+
+
+def test_unscanned_passes_have_no_witness_in_the_reference_scan():
+    # wherever the rule passes a cap without a scan, the reference finds no violating B;
+    # the draws reach epsilon <= 0, s = n, q < c and degrees below ceil(2s/3)
+    rng = random.Random(12)
+    reasons = {}
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        s = rng.choice((rng.randint(1, n), n))
+        alpha = rng.choice((0.2, 1 / 3, 0.5, 0.75))
+        epsilon = rng.choice((-0.25, -0.05, 0.0, 1 / 12, 0.15))
+        c = rng.randint(1, 5)
+        committees = tuple(sample_without_replacement(rng, list(range(n)), s) for _ in range(rng.randint(1, 6)))
+        res = verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
+        b = combinatorics.committee_fault_size(n, alpha, epsilon)
+        assert res.passed == (_reference_scan(committees, list(range(n)), b, alpha * s, c)[0] is None)
+        if not res.enumerated:
+            key = ("committees", res.note, epsilon <= 0, len(committees) < c, s == n)
+            reasons[key] = reasons.get(key, 0) + 1
+
+        members = tuple(sorted(rng.sample(range(20), rng.randint(1, 10))))
+        delta = rng.randint(1, len(members))
+        adjacency = tuple(sample_without_replacement(rng, list(members), delta) for _ in range(rng.randint(1, 8)))
+        d = rng.randint(1, 4)
+        res = verify_publish_graph(PublishGraph(0, adjacency, "x", 0), members, d, check_budget=10**9)
+        b = combinatorics.graph_fault_size(len(members))
+        assert res.passed == (_reference_scan(adjacency, list(members), b, delta / 2.0, d)[0] is None)
+        if not res.enumerated:
+            key = ("graph", res.note, False, len(adjacency) < d, delta < math.ceil(2 * len(members) / 3))
+            reasons[key] = reasons.get(key, 0) + 1
+    rules = ("fault sets are empty", "fewer rows than the cap", "fault sets are smaller than the threshold")
+    for kind in ("committees", "graph"):
+        assert {key[1] for key in reasons if key[0] == kind} == set(rules)
+    assert {key[1] for key in reasons if key[0] == "committees" and key[2]} == set(rules)  # epsilon <= 0
+    assert ("committees", rules[2], True, False, True) in reasons  # s = n at epsilon <= 0
+    assert any(key[0] == "committees" and key[3] for key in reasons)  # q < c
+    assert ("graph", rules[2], False, False, True) in reasons  # a degree below ceil(2s/3)
 
 
 def test_publish_graph_scan_with_non_contiguous_ids_matches_reference():

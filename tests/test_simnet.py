@@ -5,6 +5,7 @@ from conftest import small_transform
 from coinforge.protocols import CrusaderProtocol
 from coinforge.simnet import (
     AdversaryAction,
+    CoinSpec,
     K_MAJ,
     K_OPAQUE,
     Simulation,
@@ -201,6 +202,119 @@ def test_scripted_byzantine_messages_are_counted_separately():
     assert sum(rep.byz_msg_count_by_kind.values()) == 0  # silent victim
     honest = sum(rep.msg_count_by_kind.values())
     assert honest <= 4 * 16  # 4s^2 cap
+
+
+# --- every adversary model rule: one scripted case per StrategyViolation ---------------
+
+
+class Script(Strategy):
+    """Plays `steps` in order; a step maps the view to its action, or to None to wait for a later poll."""
+
+    reactive = True
+
+    def __init__(self, *steps, offsets=None, delay=None):
+        self.steps, self.offsets, self.delay = list(steps), offsets, delay
+
+    def coin_offsets(self, spec, view):
+        return self.offsets
+
+    def delay_for(self, env):
+        return self.delay
+
+    def next_action(self, view):
+        act = self.steps[0](view) if self.steps else None
+        if act is not None:
+            self.steps.pop(0)
+        return act
+
+
+class CoinPingProtocol(PingProtocol):
+    """PingProtocol plus one oracle coin among parties 0, 1 and 2, with R = 1."""
+
+    def __init__(self, delta=1.0):
+        self.coin_specs = [CoinSpec(0, (0, 1, 2), delta, 1.0, 1.0)]
+
+
+def now(act):
+    return lambda view: act
+
+
+def once(cond, act):
+    return lambda view: act if cond(view) else None
+
+
+def delivered(eid):  # party 0 pings envelopes 0..3 to parties 0..3; envelope 0 self-delivers at time 0
+    return lambda view: view.envelope(eid).delivered_at is not None
+
+
+def after_1(view):  # every ping to another party lands at the deadline 1
+    return view.now >= 1.0
+
+
+A = AdversaryAction
+PING = {"sender": 0, "recipient": 1, "kind": K_MAJ, "payload": 1}
+
+# name -> (protocol, corruption budget, strategy, the message its violation matches)
+VIOLATIONS = {
+    "coin-offset-zero": (CoinPingProtocol, 0, lambda: Script(offsets={0: 0.0}), "offset outside"),
+    "coin-offset-past-R": (CoinPingProtocol, 0, lambda: Script(offsets={1: 1.5}), "offset outside"),
+    "delay-zero": (PingProtocol, 0, lambda: Script(delay=0.0), r"delay 0.0 outside"),
+    "delay-past-deadline": (PingProtocol, 0, lambda: Script(delay=1.5), r"delay 1.5 outside"),
+    "over-budget": (PingProtocol, 0, lambda: Script(now(A.corrupt(1))), "budget 0 exceeded"),
+    "corrupt-twice": (PingProtocol, 2, lambda: Script(now(A.corrupt(1)), now(A.corrupt(1))), "already corrupted"),
+    "drop-honest": (PingProtocol, 1, lambda: Script(now(A.drop(1))), "honest sender"),
+    "drop-delivered": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), once(delivered(0), A.drop(0))),
+                       "already delivered"),
+    "delay-delivered": (PingProtocol, 0, lambda: Script(once(delivered(0), A.delay(0, 0.5))), "already delivered"),
+    "deliver-delivered": (PingProtocol, 0, lambda: Script(once(delivered(0), A.deliver(0))), "already delivered"),
+    "delay-into-past": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), once(after_1, A.delay(3, 0.5))),
+                        "into the past"),
+    "honest-delivery-late": (PingProtocol, 0, lambda: Script(now(A.delay(1, 1.5))), r"\(sent, sent\+1\]"),
+    "honest-delivery-at-send": (PingProtocol, 0, lambda: Script(now(A.deliver(1))), r"\(sent, sent\+1\]"),
+    "inject-into-past": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), once(after_1, A.inject(PING, 0.5))),
+                         "into the past"),
+    "inject-from-honest": (PingProtocol, 0, lambda: Script(now(A.inject(PING, 0.5))), "honest party"),
+    "inject-size-zero": (PingProtocol, 1,
+                         lambda: Script(now(A.corrupt(0)), now(A.inject({**PING, "size_bits": 0}, 0.5))),
+                         "size_bits >= 1"),
+    "coin-set-non-member": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, 3, 0.5))), "not a member"),
+    "coin-set-time-zero": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, 0, 0.0))), r"outside \(0, R\]"),
+    "coin-set-time-past-R": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, 0, 1.5))), r"outside \(0, R\]"),
+    "coin-set-after-output": (CoinPingProtocol, 0,  # member 0 outputs at 0.25
+                              lambda: Script(once(lambda v: v.now >= 0.25, A.coin_set(0, 0, 0.5)),
+                                             offsets={0: 0.25}),
+                              "already delivered"),
+    "coin-set-bit-of-fair-coin": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, 0, None, bit=1))),
+                                  "fair coin"),
+    "unknown-kind": (PingProtocol, 0, lambda: Script(now(A("teleport"))), "unknown action kind 'teleport'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VIOLATIONS))
+def test_every_model_rule_faults_the_strategy(name):
+    protocol, t_budget, strategy, match = VIOLATIONS[name]
+    with pytest.raises(StrategyViolation, match=match):
+        run_simulation(protocol(), strategy(), seed=1, t_budget=t_budget)
+
+
+def _coin_outputs(protocol, strategy):
+    """(member, time, detail) of every coin output of one run, in order."""
+    log = []
+    run_simulation(protocol, strategy, seed=1, log=log)
+    return [(rec["party"], rec["time"], rec["detail"]) for rec in log if rec["kind"] == "coin"]
+
+
+def test_legal_coin_set_assigns_unfair_bits_and_re_times_outputs():
+    # an unfair instance (delta = 0): an honest member's bit may be assigned, the others get the default 0
+    unfair = _coin_outputs(CoinPingProtocol(delta=0.0), Script(now(A.coin_set(0, 1, None, bit=1))))
+    assert unfair == [(0, 1.0, "inst=0 bit=0 fair=False"), (1, 1.0, "inst=0 bit=1 fair=False"),
+                      (2, 1.0, "inst=0 bit=0 fair=False")]
+    # a re-time to 0.5 leaves the entry at R stale, and one to 0.75 the entry at the offset 0.25
+    earlier = _coin_outputs(CoinPingProtocol(), Script(now(A.coin_set(0, 0, 0.5))))
+    later = _coin_outputs(CoinPingProtocol(), Script(now(A.coin_set(0, 0, 0.75)), offsets={0: 0.25}))
+    for outputs, t in ((earlier, 0.5), (later, 0.75)):
+        assert [(m, time) for m, time, _ in outputs] == [(0, t), (1, 1.0), (2, 1.0)]
+        assert len({detail for _, _, detail in outputs}) == 1 and outputs[0][2].endswith("fair=True")
 
 
 def test_mix64_is_stable():
