@@ -218,7 +218,7 @@ def cmd_run_crusader(args):
 def cmd_run_publish(args):
     cfg = _config_from_args(args)
     cfg.protocol = {"kind": "publish", "committee": args.committee,
-                    "inputs": "split" if args.split else args.common_bit}
+                    "inputs": "random" if args.split else args.common_bit}
     proto, _ = build_protocol(cfg)
     return _finish_trials("run-publish", cfg, list(_trials(cfg, proto)))
 

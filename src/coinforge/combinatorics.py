@@ -12,11 +12,13 @@ Two combinatorial objects back the protocol:
 
 Both caps are one property: no b-subset B of a universe gives cap or more
 rows threshold or more members in B. Each verifier checks its own input,
-then hands its rows to one cap check (`_cap_check`). One rule (`_trivial`)
-passes a cap without a scan: empty fault sets, fewer rows than the cap, or
-fault sets smaller than the threshold (|row ∩ B| <= |B| < threshold), which
-covers every s = n layout at epsilon > 0 (b <= (alpha-epsilon)*n < alpha*s)
-and publish graphs of degree ceil(2s/3) or more. Both objects come from one
+then hands its rows to one cap check (`_cap_check`). One rule
+(`_unscanned_reason`) passes a cap without a scan: fewer rows than the cap,
+or fault sets smaller than the threshold (|row ∩ B| <= |B| < threshold),
+which covers empty fault sets, every s = n layout at epsilon > 0
+(b <= (alpha-epsilon)*n < alpha*s) and publish graphs of degree ceil(2s/3)
+or more. The rule needs a positive threshold, so alpha <= 0 and a publish
+degree below 1 are refused at input. Both objects come from one
 Las-Vegas loop (`_las_vegas`): sample uniformly, verify, resample on failure,
 one Random(seed) feeding the draws. Sampling is a partial Fisher-Yates
 shuffle, which matches the hypergeometric analysis behind the failure bounds.
@@ -214,34 +216,26 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     return None, len(rows) * total
 
 
-def _trivial(rows: int, size: int, threshold: float, cap: int) -> str | None:
-    """Why no size-subset B can give cap or more of `rows` rows threshold or more
-    members in B, so that the cap holds without a scan; None if only a scan can tell."""
-    if size == 0:
-        return "fault sets are empty"
-    if rows < cap:
-        return "fewer rows than the cap"
-    if size < threshold:  # |row ∩ B| <= |B| < threshold
-        return "fault sets are smaller than the threshold"
-    return None
-
-
 def _cap_check(rows, universe, size, threshold, cap, check_budget, force=False) -> VerifyResult:
     """Whether no size-subset B of the sorted `universe` gives cap or more `rows`
-    threshold or more members in B, by `_trivial` or else by exhaustive scan."""
-    reason = _check_budget(len(universe), size, len(rows), threshold, cap, check_budget, force)
+    threshold (> 0) or more members in B, by `_unscanned_reason` or else by exhaustive scan."""
+    reason = _unscanned_reason(len(universe), size, len(rows), threshold, cap, check_budget, force)
     if reason:
         return VerifyResult(True, "exhaustive", enumerated=False, note=reason)
     witness, checks = _scan(rows, universe, size, threshold, cap)
     return VerifyResult(witness is None, "exhaustive", witness=witness, checks=checks)
 
 
-def _check_budget(width, size, rows, threshold, cap, check_budget, force=False) -> str | None:
-    """The `_trivial` reason the cap holds unscanned (under `force`, only for empty
-    fault sets), else None; a scan of more than check_budget checks is refused."""
-    reason = _trivial(rows, size, threshold, cap)
-    if reason and not (force and size):
-        return reason
+def _unscanned_reason(width, size, rows, threshold, cap, check_budget, force=False) -> str | None:
+    """Why no size-subset B of a width-element universe can give cap or more of `rows`
+    rows threshold (> 0) or more members in B, so that the cap holds without a scan;
+    None if only a scan can tell (always under `force`), and then a scan of more than
+    check_budget checks is refused."""
+    if not force:
+        if rows < cap:
+            return "fewer rows than the cap"
+        if size < threshold:  # |row ∩ B| <= |B| < threshold
+            return "fault sets are smaller than the threshold"
     checks = math.comb(width, size) * rows
     if checks > check_budget:
         raise VerificationBudgetError(checks, check_budget)
@@ -269,7 +263,10 @@ def _las_vegas(what, seed, max_attempts, draw, verify):
 
 
 def committee_fault_size(n: int, alpha: float, epsilon: float) -> int:
-    """floor((alpha - epsilon) * n); a negative size (epsilon > alpha) is a ParamError."""
+    """floor((alpha - epsilon) * n); alpha <= 0, where the empty set already
+    overloads every committee, and a negative size (epsilon > alpha) are ParamErrors."""
+    if alpha <= 0:
+        raise ParamError(f"alpha must be positive, not {alpha}")
     b = math.floor((alpha - epsilon) * n)
     if b < 0:
         raise ParamError(f"fault size floor((alpha-epsilon)*n) = {b} is negative: "
@@ -315,7 +312,7 @@ def verify_committees(
     """Check the bad-committee cap: every maximal B overloads fewer than c committees.
 
     Exhaustive mode enumerates all B with |B| = floor((alpha-epsilon)*n) where
-    `_trivial` does not pass the cap; the returned witness is the
+    `_unscanned_reason` does not pass the cap; the returned witness is the
     lexicographically smallest violating B.
     """
     if isinstance(committees, CommitteeLayout):
@@ -355,7 +352,7 @@ def gen_committees(
     max_attempts resamples. It uses no randomness, so layouts at points it
     lets through are unchanged. It is sufficient, not necessary: a point can
     pass it and still exhaust the resamples with GenerationError. A scan past
-    check_budget is refused next, where `_trivial` does not pass the cap.
+    check_budget is refused next, where `_unscanned_reason` does not pass the cap.
     """
     if c < 1:
         raise ParamError("c must be at least 1")
@@ -364,15 +361,15 @@ def gen_committees(
     if q < 1:
         raise ParamError("q must be at least 1")
     _check_mode(verify_mode)
-    committee_fault_size(n, alpha, epsilon)  # epsilon > alpha is a ParamError
+    committee_fault_size(n, alpha, epsilon)  # alpha <= 0 and epsilon > alpha are ParamErrors
     if verify_mode == "exhaustive":
-        _check_budget(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q, alpha * s, c, check_budget)
+        _unscanned_reason(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q, alpha * s, c,
+                          check_budget)
 
-    pool = list(range(n))  # at s = n every draw is q copies of [n], so none is sampled
+    pool = list(range(n))
     committees, attempts = _las_vegas(
         "committee list", seed, max_attempts,
-        lambda rng: (tuple(pool),) * q if s == n else tuple(sample_without_replacement(rng, pool, s)
-                                                            for _ in range(q)),
+        lambda rng: tuple(sample_without_replacement(rng, pool, s) for _ in range(q)),
         lambda committees: verify_committees(
             committees, n, alpha, epsilon, c, verify_mode, check_budget=check_budget))
     tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
@@ -415,11 +412,13 @@ def verify_publish_graph(
     """Check the mishearing cap: every B ⊂ Q of size ceil(s/3)-1 leaves fewer
     than d receivers with >= Delta/2 neighbors in B.
 
-    force_enumeration scans where `_trivial` would pass the graph unscanned,
-    except for empty fault sets.
+    force_enumeration scans where `_unscanned_reason` would pass the graph
+    unscanned. A degree (delta_cap) below 1 is a ParamError.
     """
     if d < 1:
         raise ParamError("d must be at least 1")
+    if graph.delta_cap < 1:
+        raise ParamError("publish-graph degree must be at least 1")
     _check_mode(mode)
     if mode == "none":
         return VerifyResult(True, mode, enumerated=False, note="verification skipped")
@@ -451,7 +450,7 @@ def gen_publish_graph(
     In "exhaustive" mode the counting certificate of
     `check_graph_feasibility` runs first and refuses a point where no graph
     can pass, before any draw; it uses no randomness. A scan past
-    check_budget is refused next, where `_trivial` does not pass the cap.
+    check_budget is refused next, where `_unscanned_reason` does not pass the cap.
     """
     s = len(committee)
     if not (1 <= delta_cap <= s):
@@ -460,7 +459,7 @@ def gen_publish_graph(
         raise ParamError("d must be at least 1")
     _check_mode(verify_mode)
     if verify_mode == "exhaustive":
-        _check_budget(s, check_graph_feasibility(s, n, d, delta_cap), n, delta_cap / 2.0, d, check_budget)
+        _unscanned_reason(s, check_graph_feasibility(s, n, d, delta_cap), n, delta_cap / 2.0, d, check_budget)
     members = sorted(committee)
     tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
     graph, _ = _las_vegas(

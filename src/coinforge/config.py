@@ -176,7 +176,8 @@ def build_protocol(cfg: ExperimentConfig):
 
 def _publish_protocol(protocol: dict, layout, graphs):
     """One committee of the layout publishing over its graph: `committee` is its id (default 0),
-    and `inputs` is "split" (a random bit per member and trial) or a common bit, 0 or 1 (default)."""
+    and `inputs` is "random" (a fresh bit per member and trial, as for crusader) or a common
+    bit, 0 or 1 (default)."""
     j = _protocol_int(protocol, "committee", 0)
     graph = next((g for g in graphs if g.committee_id == j), None)
     if graph is None:
@@ -184,10 +185,10 @@ def _publish_protocol(protocol: dict, layout, graphs):
                          f"committee_id (committees are 0..{layout.q - 1})")
     committee = layout.committees[j]
     inputs = protocol.get("inputs", 1)
-    if inputs == "split":
+    if inputs == "random":
         make = lambda rng: {m: rng.getrandbits(1) for m in committee}
     elif type(inputs) is int and inputs in (0, 1):
         make = {m: inputs for m in committee}
     else:
-        raise ParamError(f"protocol key 'inputs' of a publish run must be 'split', 0 or 1, not {inputs!r}")
+        raise ParamError(f"protocol key 'inputs' of a publish run must be 'random', 0 or 1, not {inputs!r}")
     return protocols.PublishProtocol(committee, layout.n, graph, make)

@@ -169,7 +169,7 @@ def test_run_publish_output_config_replays(tmp_path, monkeypatch):
                        "--strategy", "random_delay", "--trials", "4", "--seed", "5", "--out", "out.json") == 0
         doc = json.loads(open("out.json").read())
         assert doc["config"]["protocol"] == {"kind": "publish", "committee": 2,
-                                             "inputs": "split" if inputs == ["--split"] else 0}
+                                             "inputs": "random" if inputs == ["--split"] else 0}
         open("cfg.json", "w").write(json.dumps(doc["config"]))
         assert run_cli("run-coin", "--config", "cfg.json", "--out", "replay.json") == 0
         assert json.loads(open("replay.json").read())["results"]["reports"] == doc["results"]["reports"]
@@ -550,13 +550,13 @@ def test_verify_output_config_replays_as_a_run(tmp_path):
     ({"kind": "crusader", "s": 4, "t_local": -1}, "t_local"),
     ({"kind": "crusader", "s": 4, "t_local": 9}, "t_local"),
     ({"kind": "publish", "committee": "1"}, "committee"),
-    ({"kind": "publish", "inputs": "random"}, "inputs"),
+    ({"kind": "publish", "inputs": "split"}, "inputs"),
     ({"kind": "publish", "inputs": True}, "inputs"),
 ], ids=["ell-string", "ell-float", "ell-bool", "t_local-string", "s-string", "inputs-string",
         "inputs-2", "inputs-bool", "inputs-int", "benor-t_local-float", "inputs-short-list",
         "inputs-short-string", "inputs-long-string", "s-negative", "benor-s-zero",
         "benor-t_local-s", "benor-t_local-negative", "t_local-negative", "t_local-past-s",
-        "publish-committee-string", "publish-inputs-random", "publish-inputs-bool"])
+        "publish-committee-string", "publish-inputs-split", "publish-inputs-bool"])
 def test_protocol_values_of_the_wrong_types_are_a_config_error(tmp_path, capsys, protocol, key):
     layout = _gen_layout(tmp_path)
     path = tmp_path / "cfg.json"
@@ -581,7 +581,7 @@ def test_run_crusader_t_local_outside_the_committee_is_a_config_error(capsys):
     {"kind": "multivalued", "ell": 2},
     {"kind": "benor", "s": 4, "t_local": 3},
     {"kind": "crusader", "s": 4, "t_local": 0},
-    {"kind": "publish", "committee": 4, "inputs": "split"},
+    {"kind": "publish", "committee": 4, "inputs": "random"},
 ], ids=["bit-string", "bit-list", "bit-char-list", "common-bit", "benor", "multivalued", "benor-t_local-top",
         "t_local-zero", "publish"])
 def test_protocol_values_of_their_types_run(tmp_path, protocol):

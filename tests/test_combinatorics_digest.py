@@ -122,8 +122,8 @@ GROUPS = {
 EXPECTED = {
     "gen_committees": (1210, "88dfe04fa3dab4f77194b8ea1b277e42022985c802a340835edf06b1f9796334"),
     "gen_publish_graph": (456, "de13c913848207e08189cd79e581c16a40137c5dc146c52b0887bdde4e458bc9"),
-    "verify_committees": (700, "13b5d19d5edc844bea18f92013c51d79786372c3b43914e417ed3e69c9edb8da"),
-    "verify_publish_graph": (700, "f3f5ac8c96bdda17e331fd3802984f1d4e0dbcdf9d24dc30771b2b66bae7e036"),
+    "verify_committees": (700, "4aa5204ab9aa8ad3727c233ba070db90c924f4b799a8d7f2ed3981306d81e746"),
+    "verify_publish_graph": (700, "e520cae37554379c44e13e33a7b4d50bc019d425f125a27cd8a5b89eab128056"),
 }
 
 

@@ -14,6 +14,7 @@ from coinforge.combinatorics import (
     verify_committees,
     verify_publish_graph,
 )
+from coinforge.params import ParamError
 
 
 def _brute(rows, b_sets, threshold):
@@ -125,40 +126,66 @@ def test_scan_full_pass_counts_every_check():
 
 def test_unscanned_passes_have_no_witness_in_the_reference_scan():
     # wherever the rule passes a cap without a scan, the reference finds no violating B;
-    # the draws reach epsilon <= 0, s = n, q < c and degrees below ceil(2s/3)
+    # the draws reach epsilon <= 0, s = n, q < c, empty fault sets and degrees below
+    # ceil(2s/3), and a threshold of 0 or less (alpha <= 0, degree 0) is refused at input
     rng = random.Random(12)
     reasons = {}
+    refused = {"committees": 0, "graph": 0}
     for _ in range(300):
         n = rng.randint(2, 10)
         s = rng.choice((rng.randint(1, n), n))
-        alpha = rng.choice((0.2, 1 / 3, 0.5, 0.75))
+        alpha = rng.choice((-0.5, 0.0, 0.2, 1 / 3, 0.5, 0.75))
         epsilon = rng.choice((-0.25, -0.05, 0.0, 1 / 12, 0.15))
         c = rng.randint(1, 5)
         committees = tuple(sample_without_replacement(rng, list(range(n)), s) for _ in range(rng.randint(1, 6)))
-        res = verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
-        b = combinatorics.committee_fault_size(n, alpha, epsilon)
-        assert res.passed == (_reference_scan(committees, list(range(n)), b, alpha * s, c)[0] is None)
-        if not res.enumerated:
-            key = ("committees", res.note, epsilon <= 0, len(committees) < c, s == n)
-            reasons[key] = reasons.get(key, 0) + 1
+        if alpha <= 0:
+            with pytest.raises(ParamError, match="alpha must be positive"):
+                verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
+            refused["committees"] += 1
+        else:
+            res = verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
+            b = combinatorics.committee_fault_size(n, alpha, epsilon)
+            assert res.passed == (_reference_scan(committees, list(range(n)), b, alpha * s, c)[0] is None)
+            if not res.enumerated:
+                key = ("committees", res.note, epsilon <= 0, len(committees) < c, s == n, b == 0)
+                reasons[key] = reasons.get(key, 0) + 1
 
         members = tuple(sorted(rng.sample(range(20), rng.randint(1, 10))))
-        delta = rng.randint(1, len(members))
+        delta = rng.randint(0, len(members))
         adjacency = tuple(sample_without_replacement(rng, list(members), delta) for _ in range(rng.randint(1, 8)))
         d = rng.randint(1, 4)
-        res = verify_publish_graph(PublishGraph(0, adjacency, "x", 0), members, d, check_budget=10**9)
+        graph = PublishGraph(0, adjacency, "x", 0)
+        if delta == 0:
+            with pytest.raises(ParamError, match="degree must be at least 1"):
+                verify_publish_graph(graph, members, d, check_budget=10**9)
+            refused["graph"] += 1
+            continue
+        res = verify_publish_graph(graph, members, d, check_budget=10**9)
         b = combinatorics.graph_fault_size(len(members))
         assert res.passed == (_reference_scan(adjacency, list(members), b, delta / 2.0, d)[0] is None)
         if not res.enumerated:
-            key = ("graph", res.note, False, len(adjacency) < d, delta < math.ceil(2 * len(members) / 3))
+            key = ("graph", res.note, False, len(adjacency) < d, delta < math.ceil(2 * len(members) / 3), b == 0)
             reasons[key] = reasons.get(key, 0) + 1
-    rules = ("fault sets are empty", "fewer rows than the cap", "fault sets are smaller than the threshold")
+    rules = ("fewer rows than the cap", "fault sets are smaller than the threshold")
+    assert min(refused.values()) > 0
     for kind in ("committees", "graph"):
         assert {key[1] for key in reasons if key[0] == kind} == set(rules)
+        assert any(key[0] == kind and key[1] == rules[1] and key[5] for key in reasons)  # empty fault sets
     assert {key[1] for key in reasons if key[0] == "committees" and key[2]} == set(rules)  # epsilon <= 0
-    assert ("committees", rules[2], True, False, True) in reasons  # s = n at epsilon <= 0
+    assert any(key[:5] == ("committees", rules[1], True, False, True) for key in reasons)  # s = n, epsilon <= 0
     assert any(key[0] == "committees" and key[3] for key in reasons)  # q < c
-    assert ("graph", rules[2], False, False, True) in reasons  # a degree below ceil(2s/3)
+    assert any(key[:5] == ("graph", rules[1], False, False, True) for key in reasons)  # degree < ceil(2s/3)
+
+
+def test_a_threshold_of_zero_is_refused_not_passed():
+    # at alpha = 0 the empty fault set meets every committee in >= 0 members, so no
+    # layout meets the cap; the verifier and the generator both refuse the input
+    with pytest.raises(ParamError, match="alpha must be positive"):
+        verify_committees(((0, 1, 2, 3),) * 5, 8, 0.0, 0.0, 2)
+    with pytest.raises(ParamError, match="alpha must be positive"):
+        combinatorics.gen_committees(8, 5, 4, 0.0, 0.0, 2, seed=0)
+    with pytest.raises(ParamError, match="degree must be at least 1"):
+        verify_publish_graph(PublishGraph(0, ((),) * 3, "x", 0), (0, 1, 2), 1)
 
 
 def test_publish_graph_scan_with_non_contiguous_ids_matches_reference():

@@ -74,7 +74,7 @@ EXPECTED = {
     }),
     "run-publish-split": (0, {
         "stdout": "5fc9766dd033d2d5b4b0eed820cf801b9bf04b7621a30965ec2bb0e72b4c29a9",
-        "out.json": "2cad7acbdc3f462ea579f4eb5251e305e04f545a9aee4e0f4aee7fc03c6a7c89",
+        "out.json": "6f97e2de0cee80bfab7ca7b9dc899f78041ca00f06d36fa57316e3ced42adb14",
     }),
 }
 
