@@ -150,7 +150,7 @@ def cmd_verify(args):
     layout, graphs = load_layout_file(args.layout)
     dp = _derived(cfg)
     protocols.check_layout_matches(cfg.n, dp, layout, graphs)
-    res = combinatorics.verify_committees(layout, None, cfg.alpha, cfg.epsilon, dp.c)
+    res = combinatorics.verify_committees(layout.committees, layout.n, cfg.alpha, cfg.epsilon, dp.c)
     results = {"committees": {"passed": res.passed, "witness": res.witness, "checks": res.checks}}
     ok = res.passed
     for g in graphs:

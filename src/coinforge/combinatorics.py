@@ -11,29 +11,29 @@ Two combinatorial objects back the protocol:
     Delta/2 neighbors in B.
 
 Both caps are one property: no b-subset B of a universe gives cap or more
-rows threshold or more members in B. Each verifier checks its own input,
-then hands its rows to one cap check (`_cap_check`). One rule
-(`_unscanned_reason`) passes a cap without a scan: fewer rows than the cap,
-or fault sets smaller than the threshold (|row ∩ B| <= |B| < threshold),
+rows threshold or more members in B. Each verifier takes rows of one size
+and a cap, checks them, and hands them to one cap check (`_cap_check`). One
+rule (`_unscanned_reason`) passes a cap without a scan: fewer rows than the
+cap, or fault sets smaller than the threshold (|row ∩ B| <= |B| < threshold),
 which covers empty fault sets, every s = n layout at epsilon > 0
 (b <= (alpha-epsilon)*n < alpha*s) and publish graphs of degree ceil(2s/3)
-or more. The rule needs a positive threshold, so alpha <= 0 and a publish
-degree below 1 are refused at input. Both objects come from one
-Las-Vegas loop (`_las_vegas`): sample uniformly, verify, resample on failure,
-one Random(seed) feeding the draws. Sampling is a partial Fisher-Yates
-shuffle, which matches the hypergeometric analysis behind the failure bounds.
-Committees are public, deterministic objects fixed before any execution; the
-adversary never influences generation.
+or more. The rule needs a positive threshold, so alpha <= 0, empty rows and
+a publish degree below 1 are refused at input. Elsewhere the check
+enumerates every maximal-size B (maximality suffices by monotonicity), so a
+pass is a proof. Enumeration is budgeted by (B, row) membership checks; a
+scan past the budget is refused up front, by the generators before any
+draw, with VerificationBudgetError, which carries the checks and budget. A
+cap the rule passes is never refused. Rows and fault sets are uint64 bitsets
+(`_kernels`); fault sets are built in lex order as a prefix ORed onto a tail
+of a cached suffix table, in chunks of at most _TABLE masks.
 
-Verification modes (`VERIFY_MODES`): "exhaustive" enumerates every
-maximal-size B (maximality suffices by monotonicity), so its pass is a proof;
-"none" skips and marks the object "unverified". Exhaustive enumeration is
-budgeted by (B, row) membership checks; a scan past the budget is refused
-up front, by the generators before any draw, with VerificationBudgetError,
-which carries the checks and budget. A cap the rule passes is never refused.
-Rows and fault sets are uint64 bitsets (`_kernels`); fault sets are built in
-lex order as a prefix ORed onto a tail of a cached suffix table, in chunks of
-at most _TABLE masks.
+Both objects come from one Las-Vegas loop (`_las_vegas`): sample uniformly,
+verify, resample on failure, one Random(seed) feeding the draws; the
+generators' verify mode "none" (`VERIFY_MODES`) keeps the first draw and
+marks it "unverified". Sampling is a partial Fisher-Yates shuffle, which
+matches the hypergeometric analysis behind the failure bounds. Committees
+are public, deterministic objects fixed before any execution; the adversary
+never influences generation.
 
 Before sampling committees, a counting certificate rules out points where no
 layout can exist. Each s-subset is overloaded by exactly N maximal fault sets
@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import mask_positions, membership_matrix, rows_meeting_threshold, set_words, suffix_table
-from .params import ParamError
+from .params import ParamError, crusader_fault_bound
 
 DEFAULT_CHECK_BUDGET = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 1000
@@ -118,7 +118,6 @@ class InfeasibleGraphError(GenerationError):
 @dataclass(frozen=True)
 class VerifyResult:
     passed: bool
-    mode: str
     witness: tuple[int, ...] | None = None
     enumerated: bool = True
     checks: int = 0
@@ -201,8 +200,6 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     rows * min(C(len(universe), size), (rank // _CHUNK + 1) * _CHUNK) when
     the witness has lex rank `rank`.
     """
-    if size == 0:
-        return None, 0
     total = math.comb(len(universe), size)
     position = {p: i for i, p in enumerate(universe)}  # the verifiers refuse ids outside the universe
     member = membership_matrix([[position[p] for p in row] for row in rows], len(universe))
@@ -216,45 +213,46 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     return None, len(rows) * total
 
 
-def _cap_check(rows, universe, size, threshold, cap, check_budget, force=False) -> VerifyResult:
+def _cap_check(rows, universe, size, threshold, cap, check_budget) -> VerifyResult:
     """Whether no size-subset B of the sorted `universe` gives cap or more `rows`
     threshold (> 0) or more members in B, by `_unscanned_reason` or else by exhaustive scan."""
-    reason = _unscanned_reason(len(universe), size, len(rows), threshold, cap, check_budget, force)
+    reason = _unscanned_reason(len(universe), size, len(rows), threshold, cap, check_budget)
     if reason:
-        return VerifyResult(True, "exhaustive", enumerated=False, note=reason)
+        return VerifyResult(True, enumerated=False, note=reason)
     witness, checks = _scan(rows, universe, size, threshold, cap)
-    return VerifyResult(witness is None, "exhaustive", witness=witness, checks=checks)
+    return VerifyResult(witness is None, witness=witness, checks=checks)
 
 
-def _unscanned_reason(width, size, rows, threshold, cap, check_budget, force=False) -> str | None:
+def _unscanned_reason(width, size, rows, threshold, cap, check_budget) -> str | None:
     """Why no size-subset B of a width-element universe can give cap or more of `rows`
     rows threshold (> 0) or more members in B, so that the cap holds without a scan;
-    None if only a scan can tell (always under `force`), and then a scan of more than
-    check_budget checks is refused."""
-    if not force:
-        if rows < cap:
-            return "fewer rows than the cap"
-        if size < threshold:  # |row ∩ B| <= |B| < threshold
-            return "fault sets are smaller than the threshold"
+    None if only a scan can tell, and then a scan of more than check_budget checks is refused."""
+    if rows < cap:
+        return "fewer rows than the cap"
+    if size < threshold:  # |row ∩ B| <= |B| < threshold
+        return "fault sets are smaller than the threshold"
     checks = math.comb(width, size) * rows
     if checks > check_budget:
         raise VerificationBudgetError(checks, check_budget)
     return None
 
 
-def _check_mode(mode: str) -> None:
+def _exhaustive(mode: str) -> bool:
+    """Whether a generator in verify mode `mode` verifies its draws; unknown modes are ParamErrors."""
     if mode not in VERIFY_MODES:
         raise ParamError(f"unknown verify mode {mode!r}")
+    return mode == "exhaustive"
 
 
-def _las_vegas(what, seed, max_attempts, draw, verify):
-    """(object, attempt) of the first draw(rng) that verify(object) passes, one
-    Random(seed) feeding the draws; the callables look up `sample_without_replacement`
-    and `verify_*` in this module at call time, so a wrapper set there sees each call."""
+def _las_vegas(what, seed, max_attempts, draw, verify=None):
+    """(object, attempt) of the first draw(rng) that verify(object) passes (the first
+    draw when verify is None), one Random(seed) feeding the draws; the callables look
+    up `sample_without_replacement` and `verify_*` in this module at call time, so a
+    wrapper set there sees each call."""
     rng = random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         candidate = draw(rng)
-        if verify(candidate).passed:
+        if verify is None or verify(candidate).passed:
             return candidate, attempt
     raise GenerationError(f"no acceptable {what} within {max_attempts} resamples (seed {seed})")
 
@@ -264,13 +262,16 @@ def _las_vegas(what, seed, max_attempts, draw, verify):
 
 def committee_fault_size(n: int, alpha: float, epsilon: float) -> int:
     """floor((alpha - epsilon) * n); alpha <= 0, where the empty set already
-    overloads every committee, and a negative size (epsilon > alpha) are ParamErrors."""
+    overloads every committee, a negative size (epsilon > alpha) and a size
+    above n (there is no such subset of [n]) are ParamErrors."""
     if alpha <= 0:
         raise ParamError(f"alpha must be positive, not {alpha}")
     b = math.floor((alpha - epsilon) * n)
     if b < 0:
         raise ParamError(f"fault size floor((alpha-epsilon)*n) = {b} is negative: "
                          f"epsilon={epsilon} exceeds alpha={alpha}")
+    if b > n:
+        raise ParamError(f"fault size floor((alpha-epsilon)*n) = {b} exceeds n={n}")
     return b
 
 
@@ -300,35 +301,29 @@ def check_committee_feasibility(n: int, q: int, s: int, alpha: float, epsilon: f
 
 
 def verify_committees(
-    committees: tuple[tuple[int, ...], ...] | CommitteeLayout,
-    n: int | None,
+    committees: tuple[tuple[int, ...], ...],
+    n: int,
     alpha: float,
     epsilon: float,
     c: int,
-    mode: str = "exhaustive",
     *,
     check_budget: int = DEFAULT_CHECK_BUDGET,
 ) -> VerifyResult:
     """Check the bad-committee cap: every maximal B overloads fewer than c committees.
 
-    Exhaustive mode enumerates all B with |B| = floor((alpha-epsilon)*n) where
-    `_unscanned_reason` does not pass the cap; the returned witness is the
-    lexicographically smallest violating B.
+    Enumerates all B with |B| = floor((alpha-epsilon)*n) where `_unscanned_reason`
+    does not pass the cap; the returned witness is the lexicographically smallest
+    violating B. The committees must be one or more rows of one size s >= 1.
     """
-    if isinstance(committees, CommitteeLayout):
-        layout = committees
-        committees, n = layout.committees, layout.n
-    if n is None:
-        raise ParamError("n is required when passing raw committees")
     if c < 1:
         raise ParamError("c must be at least 1")
-    _check_mode(mode)
     b = committee_fault_size(n, alpha, epsilon)
-    if mode == "none":
-        return VerifyResult(True, mode, enumerated=False, note="verification skipped")
     if any(not 0 <= p < n for row in committees for p in row):
         raise ParamError(f"committee member ids must lie in [0, {n})")
-    return _cap_check(committees, range(n), b, alpha * len(committees[0]), c, check_budget)
+    sizes = {len(row) for row in committees}
+    if len(sizes) != 1 or 0 in sizes:
+        raise ParamError(f"committees must be one or more rows of one size >= 1, not of sizes {sorted(sizes)}")
+    return _cap_check(committees, range(n), b, alpha * sizes.pop(), c, check_budget)
 
 
 def gen_committees(
@@ -360,9 +355,9 @@ def gen_committees(
         raise ParamError("s must be in [1, n]")
     if q < 1:
         raise ParamError("q must be at least 1")
-    _check_mode(verify_mode)
-    committee_fault_size(n, alpha, epsilon)  # alpha <= 0 and epsilon > alpha are ParamErrors
-    if verify_mode == "exhaustive":
+    exhaustive = _exhaustive(verify_mode)
+    committee_fault_size(n, alpha, epsilon)  # alpha <= 0, epsilon > alpha and b > n are ParamErrors
+    if exhaustive:
         _unscanned_reason(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q, alpha * s, c,
                           check_budget)
 
@@ -370,17 +365,12 @@ def gen_committees(
     committees, attempts = _las_vegas(
         "committee list", seed, max_attempts,
         lambda rng: tuple(sample_without_replacement(rng, pool, s) for _ in range(q)),
-        lambda committees: verify_committees(
-            committees, n, alpha, epsilon, c, verify_mode, check_budget=check_budget))
-    tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
-    return CommitteeLayout(n, q, s, committees, tag, seed, attempts)
+        (lambda committees: verify_committees(committees, n, alpha, epsilon, c, check_budget=check_budget))
+        if exhaustive else None)
+    return CommitteeLayout(n, q, s, committees, "exhaustive" if exhaustive else "unverified", seed, attempts)
 
 
 # --- publish graphs ---------------------------------------------------------
-
-
-def graph_fault_size(s: int) -> int:
-    return math.ceil(s / 3) - 1
 
 
 def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> int:
@@ -393,7 +383,7 @@ def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> int:
     B of size b = ceil(s/3)-1 (0.5*delta_cap equals the verifier's
     delta_cap/2.0 exactly).
     """
-    b = graph_fault_size(s)
+    b = crusader_fault_bound(s)
     per_receiver = overloading_fault_sets(s, delta_cap, b, 0.5)
     if n * per_receiver > (d - 1) * math.comb(s, b):
         raise InfeasibleGraphError(s, n, delta_cap, b, d, per_receiver)
@@ -404,29 +394,26 @@ def verify_publish_graph(
     graph: PublishGraph,
     committee: tuple[int, ...],
     d: int,
-    mode: str = "exhaustive",
     *,
-    force_enumeration: bool = False,
     check_budget: int = DEFAULT_CHECK_BUDGET,
 ) -> VerifyResult:
     """Check the mishearing cap: every B ⊂ Q of size ceil(s/3)-1 leaves fewer
     than d receivers with >= Delta/2 neighbors in B.
 
-    force_enumeration scans where `_unscanned_reason` would pass the graph
-    unscanned. A degree (delta_cap) below 1 is a ParamError.
+    Enumerates those B where `_unscanned_reason` does not pass the cap. A degree
+    (delta_cap) below 1 and adjacency rows of unequal size are ParamErrors.
     """
     if d < 1:
         raise ParamError("d must be at least 1")
     if graph.delta_cap < 1:
         raise ParamError("publish-graph degree must be at least 1")
-    _check_mode(mode)
-    if mode == "none":
-        return VerifyResult(True, mode, enumerated=False, note="verification skipped")
     members = set(committee)
     if not all(members.issuperset(row) for row in graph.adjacency):
         raise ParamError("publish-graph adjacency rows must hold only members of the committee")
-    return _cap_check(graph.adjacency, sorted(committee), graph_fault_size(len(committee)),
-                      graph.delta_cap / 2.0, d, check_budget, force_enumeration)
+    if any(len(row) != graph.delta_cap for row in graph.adjacency):
+        raise ParamError("publish-graph adjacency rows must all have one size, the degree")
+    return _cap_check(graph.adjacency, sorted(committee), crusader_fault_bound(len(committee)),
+                      graph.delta_cap / 2.0, d, check_budget)
 
 
 def gen_publish_graph(
@@ -457,16 +444,17 @@ def gen_publish_graph(
         raise ParamError("delta_cap must be in [1, s]")
     if d < 1:
         raise ParamError("d must be at least 1")
-    _check_mode(verify_mode)
-    if verify_mode == "exhaustive":
+    exhaustive = _exhaustive(verify_mode)
+    if exhaustive:
         _unscanned_reason(s, check_graph_feasibility(s, n, d, delta_cap), n, delta_cap / 2.0, d, check_budget)
     members = sorted(committee)
-    tag = "exhaustive" if verify_mode == "exhaustive" else "unverified"
+    tag = "exhaustive" if exhaustive else "unverified"
     graph, _ = _las_vegas(
         "publish graph", seed, max_attempts,
         lambda rng: PublishGraph(
             committee_id, tuple(sample_without_replacement(rng, members, delta_cap) for _ in range(n)), tag, seed),
-        lambda graph: verify_publish_graph(graph, tuple(members), d, verify_mode, check_budget=check_budget))
+        (lambda graph: verify_publish_graph(graph, tuple(members), d, check_budget=check_budget))
+        if exhaustive else None)
     return graph
 
 
@@ -492,7 +480,7 @@ def generation_failure_bound(kind: str, **kw) -> FailureBound:
         s, d, n = kw["s"], kw["d"], kw["n"]
         if d > n:
             return FailureBound(0.0, None, "event impossible: d exceeds receiver count")
-        b = graph_fault_size(s)
+        b = crusader_fault_bound(s)
         if b <= 0:
             return FailureBound(0.0, None, "event impossible: empty fault set")
         log2 = math.log2(math.comb(s, b)) + d * math.log2(n) - s - d * math.log2(n)

@@ -144,7 +144,7 @@ def build_protocol(cfg: ExperimentConfig):
             raise ParamError(f"missing layout file: {kind} runs need --layout")
         layout, graphs = load_layout_file(cfg.layout_path)
         if kind == "publish":
-            return _publish_protocol(cfg.protocol, layout, graphs), None
+            return _publish_protocol(cfg, layout, graphs), None
         ell = _protocol_int(cfg.protocol, "ell", 1)
         cp = cfg.coin_params()
         dp = derive_params(cp, cfg.overrides or None)
@@ -174,17 +174,21 @@ def build_protocol(cfg: ExperimentConfig):
     return protocols.CrusaderProtocol(s, make, t_local), None
 
 
-def _publish_protocol(protocol: dict, layout, graphs):
+def _publish_protocol(cfg: ExperimentConfig, layout, graphs):
     """One committee of the layout publishing over its graph: `committee` is its id (default 0),
     and `inputs` is "random" (a fresh bit per member and trial, as for crusader) or a common
-    bit, 0 or 1 (default)."""
-    j = _protocol_int(protocol, "committee", 0)
+    bit, 0 or 1 (default). The layout must have the run's n, and its q and s where overridden."""
+    given = {"n": cfg.n, **{key: cfg.overrides[key] for key in ("q", "s") if key in cfg.overrides}}
+    if any(getattr(layout, key) != value for key, value in given.items()):
+        raise ParamError("layout does not match the run's " + " ".join(f"{k}={v}" for k, v in given.items())
+                         + f" (the layout has n={layout.n} q={layout.q} s={layout.s})")
+    j = _protocol_int(cfg.protocol, "committee", 0)
     graph = next((g for g in graphs if g.committee_id == j), None)
     if graph is None:
         raise ParamError(f"protocol key 'committee' is {j}, but the layout has no publish graph with that "
                          f"committee_id (committees are 0..{layout.q - 1})")
     committee = layout.committees[j]
-    inputs = protocol.get("inputs", 1)
+    inputs = cfg.protocol.get("inputs", 1)
     if inputs == "random":
         make = lambda rng: {m: rng.getrandbits(1) for m in committee}
     elif type(inputs) is int and inputs in (0, 1):

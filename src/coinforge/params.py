@@ -105,6 +105,12 @@ class DerivedParams:
         }
 
 
+def crusader_fault_bound(s: int) -> int:
+    """ceil(s/3) - 1, the most faults (t < s/3) a committee of size s tolerates: the
+    crusader threshold and the size of the fault sets a publish graph must withstand."""
+    return math.ceil(s / 3) - 1
+
+
 def publish_degree(s: int, d: int, n: int) -> int:
     """Receiver degree Delta for a committee of size s at fault budget d."""
     if s < 1 or d < 1 or n < 1:
@@ -115,19 +121,22 @@ def publish_degree(s: int, d: int, n: int) -> int:
 def derive_params(p: CoinParams, overrides: dict | None = None) -> DerivedParams:
     """Evaluate the initialization formulas, optionally pinning some values.
 
-    `overrides` may set any of q, c, s, d, delta_cap. An overridden q must be
-    odd; z', the live threshold and the output threshold are recomputed from
-    whatever q and z end up in force. Pure: identical inputs give bit-identical
-    outputs.
+    `overrides` may set any of q, c, s, d, delta_cap, each to an integer. An
+    overridden q must be odd; z', the live threshold and the output threshold
+    are recomputed from whatever q and z end up in force. Pure: identical
+    inputs give bit-identical outputs.
     """
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(OVERRIDE_KEYS)
     if unknown:
         raise ParamError(f"unknown override keys: {sorted(unknown)}")
+    for key, value in overrides.items():
+        if type(value) is not int:  # a bool is no integer here
+            raise ParamError(f"override {key!r} must be an integer, not {value!r}")
 
     n = p.n
     if "q" in overrides:
-        q = int(overrides["q"])
+        q = overrides["q"]
         if q < 1 or q % 2 == 0:
             raise ParamError("override q must be a positive odd integer")
     else:
@@ -137,14 +146,14 @@ def derive_params(p: CoinParams, overrides: dict | None = None) -> DerivedParams
     z_prime = max(p.z / 3.0, p.z - 1.6 / sqrt_q)
 
     if "c" in overrides:
-        c = int(overrides["c"])
+        c = overrides["c"]
     else:
         c = math.ceil(z_prime * sqrt_q / 3.0)
     if c < 1:
         raise ParamError("c must be at least 1")
 
     if "s" in overrides:
-        s = int(overrides["s"])
+        s = overrides["s"]
     else:
         coeff = (2.0 * p.alpha - p.epsilon) / (z_prime * p.epsilon**2)
         s = min(n, math.ceil(coeff * (n * math.log(2) / c + math.log(q))))
@@ -152,14 +161,14 @@ def derive_params(p: CoinParams, overrides: dict | None = None) -> DerivedParams
         raise ParamError("s must be in [1, n]")
 
     if "d" in overrides:
-        d = int(overrides["d"])
+        d = overrides["d"]
     else:
         d = math.ceil(z_prime * n * (1.0 - 3.0 * p.alpha + 3.0 * p.epsilon) / (36.0 * sqrt_q))
     if d < 1:
         raise ParamError("d must be at least 1")
 
     if "delta_cap" in overrides:
-        delta_cap = int(overrides["delta_cap"])
+        delta_cap = overrides["delta_cap"]
         if delta_cap < 1:
             raise ParamError("delta_cap must be at least 1")
     else:

@@ -48,12 +48,8 @@ import math
 import random
 
 from .combinatorics import CommitteeLayout, PublishGraph
-from .params import CoinParams, DerivedParams, ParamError
+from .params import CoinParams, DerivedParams, ParamError, crusader_fault_bound
 from .simnet import BOT, CoinSpec, K_COIN, K_CRUS_AUX, K_CRUS_RELAY, K_CRUS_VAL, K_MAJ, K_PUB
-
-
-def crusader_fault_bound(s: int) -> int:
-    return math.ceil(s / 3) - 1
 
 
 class CrusaderSM:

@@ -21,8 +21,9 @@ collector paused, so a strategy should build no reference cycles it expects
 to be collected mid-run.
 
 Every built-in declares its CLI name and builds itself from the string
-arguments of a spec "name:a,b" (`from_args`); `built_in_strategies()` is the
-one name table and `build_strategy` the one place specs become strategies.
+arguments of a spec "name:a,b" (`from_args`), refusing more arguments than it
+takes; `built_in_strategies()` is the one name table and `build_strategy` the
+one place specs become strategies.
 
 Built-ins (all deterministic given their bound seed):
 
@@ -58,6 +59,7 @@ class Strategy:
     @classmethod
     def from_args(cls, args):
         """Instance from the string arguments of a CLI spec."""
+        _at_most(args, 0)
         return cls()
 
     def bind(self, sim, rng):
@@ -75,6 +77,11 @@ class Strategy:
 
     def adversarial_coin_bit(self, spec, member, view):
         return 0
+
+
+def _at_most(args, count):
+    if len(args) > count:
+        raise ValueError(f"takes at most {count} argument{'' if count == 1 else 's'}, not {len(args)}")
 
 
 class PlannedStrategy(Strategy):
@@ -109,6 +116,7 @@ class RandomDelayStrategy(Strategy):
 
     @classmethod
     def from_args(cls, args):
+        _at_most(args, 1)
         return cls(float(args[0]) if args else 1.0)
 
     def delay_for(self, env):
@@ -134,7 +142,7 @@ class CommitteeTargeterStrategy(PlannedStrategy):
 
     @classmethod
     def from_args(cls, args):
-        return cls([int(a) for a in args])
+        return cls([int(a) for a in args])  # any number of targets
 
     def bind(self, sim, rng):
         layout = getattr(sim.protocol, "layout", None)
@@ -170,20 +178,19 @@ class CommitteeTargeterStrategy(PlannedStrategy):
 
 class PublishDelayerStrategy(Strategy):
     """Publish fan-out toward the first ceil(fraction*n) receivers waits until
-    the deadline; all other traffic moves at base_delay."""
+    the deadline; all other traffic moves at BASE_DELAY."""
 
     name = "publish_delayer"
+    BASE_DELAY = 0.5
 
-    def __init__(self, fraction: float, base_delay: float = 0.5):
+    def __init__(self, fraction: float):
         if not (0.0 <= fraction <= 1.0):
             raise ValueError("fraction must be in [0, 1]")
-        if not (0.0 < base_delay <= DEADLINE):
-            raise ValueError("base_delay must be in (0, 1]")
         self.fraction = fraction
-        self.base_delay = base_delay
 
     @classmethod
     def from_args(cls, args):
+        _at_most(args, 1)
         return cls(float(args[0]) if args else 1.0)
 
     def bind(self, sim, rng):
@@ -193,7 +200,7 @@ class PublishDelayerStrategy(Strategy):
     def delay_for(self, env):
         if env.kind == K_PUB and env.recipient < self._cut:
             return DEADLINE
-        return self.base_delay
+        return self.BASE_DELAY
 
 
 class BenorBiaserStrategy(PlannedStrategy):
@@ -206,9 +213,7 @@ class BenorBiaserStrategy(PlannedStrategy):
     """
 
     name = "benor_biaser"
-
-    def __init__(self, early: float = 0.25):
-        self.early = early
+    EARLY = 0.25  # delay of the bits a half hears first; the others wait for the deadline
 
     def bind(self, sim, rng):
         if sim.mode != "full_info":
@@ -249,7 +254,7 @@ class BenorBiaserStrategy(PlannedStrategy):
                 continue
             favors_maj = env.payload == b_maj
             early_for_recipient = favors_maj if env.recipient < half else not favors_maj
-            t = env.sent_at + (self.early if early_for_recipient else DEADLINE)
+            t = env.sent_at + (self.EARLY if early_for_recipient else DEADLINE)
             actions.append(AdversaryAction.delay(env.id, t))
         return actions
 
@@ -319,19 +324,31 @@ def build_strategy(spec: dict):
     """Fresh strategy instance per trial (strategies carry per-run state).
 
     `spec` is {"name", "args"} or {"name": "combined", "parts": [...]}, as
-    `config.parse_strategy_spec` writes it; unknown names and unparsable
-    arguments are ParamErrors.
+    `config.parse_strategy_spec` writes it; a block without a string name,
+    args that are not a list of strings, a combined block without a list of
+    parts, unknown names and unparsable or surplus arguments are ParamErrors.
     """
-    if spec["name"] == "combined":
-        return CombinedStrategy(*[_build_one(p) for p in spec["parts"]])
+    if _name(spec) == "combined":
+        parts = spec.get("parts")
+        if not isinstance(parts, list):
+            raise ParamError(f"a combined strategy block needs a list of 'parts', not {parts!r}")
+        return CombinedStrategy(*[_build_one(p) for p in parts])
     return _build_one(spec)
 
 
+def _name(spec) -> str:
+    if not isinstance(spec, dict) or type(spec.get("name")) is not str:
+        raise ParamError(f"a strategy block needs a string 'name', not {spec!r}")
+    return spec["name"]
+
+
 def _build_one(spec: dict):
-    cls = _BUILT_IN.get(spec["name"])
+    cls = _BUILT_IN.get(_name(spec))
     if cls is None:
         raise ParamError(f"unknown strategy {spec['name']!r}")
     args = spec.get("args", [])
+    if not isinstance(args, list) or not all(type(a) is str for a in args):
+        raise ParamError(f"strategy {spec['name']!r} needs 'args' as a list of strings, not {args!r}")
     try:
         return cls.from_args(args)
     except ValueError as exc:

@@ -135,6 +135,22 @@ def test_layout_for_other_parameters_is_a_config_error(tmp_path, capsys, command
     assert open(layout).read() == before and not (tmp_path / "out.json").exists()
 
 
+@pytest.mark.parametrize("flag,value", [("--n", "16"), ("--override-q", "7"), ("--override-s", "3")],
+                         ids=["n", "q", "s"])
+def test_run_publish_refuses_a_layout_of_another_instance(tmp_path, capsys, flag, value):
+    # the desk layout has n=8, q=5, s=4; the default n is 8, and overrides that agree are accepted
+    layout = _gen_layout(tmp_path)
+    run = ("run-publish", "--layout", layout, "--committee", "0", "--trials", "2")
+    assert run_cli(*run) == 0
+    assert run_cli(*run, "--override-q", "5", "--override-s", "4", "--override-c", "1") == 0
+    capsys.readouterr()
+    assert run_cli(*run, flag, value, "--out", str(tmp_path / "out.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: layout does not match the run's") and err.count("\n") == 1
+    assert f"{flag.split('-')[-1]}={value}" in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_derived_s_equal_n_layout_verifies_without_a_scan(tmp_path, capsys):
     # n=40 derives s = n = 40, q = 81 and c = 1; b = floor((1/3 - 0.05) * 40) = 11 < 40/3,
     # so no fault set overloads a committee, while a scan would need 81 * C(40, 11) checks
@@ -300,9 +316,22 @@ def test_bad_strategy_specs_are_param_errors(text):
         build_strategy(parse_strategy_spec(text))
 
 
-def test_bad_strategy_arguments_are_a_config_error(tmp_path):
-    rc = run_cli("run-crusader", "--s", "4", "--trials", "1", "--strategy", "random_delay:fast")
-    assert rc == 3
+def test_bad_strategy_arguments_are_a_config_error(tmp_path, capsys):
+    # spec strings with unparsable or surplus arguments, and malformed blocks in a config document
+    specs = ["random_delay:fast", "random_delay:0.5,x", "publish_delayer:1.0,0.25", "fifo:1", "benor_biaser:1"]
+    blocks = [{}, {"name": 5}, {"name": "random_delay", "args": 5}, {"name": "random_delay", "args": [0.5]},
+              {"name": "combined"}, {"name": "combined", "parts": {}}, {"name": "combined", "parts": [5]}]
+    path = tmp_path / "cfg.json"
+    for strategy in specs + blocks:
+        if isinstance(strategy, str):
+            argv = ["--strategy", strategy]
+        else:
+            path.write_text(json.dumps({"strategy": strategy}))
+            argv = ["--config", str(path)]
+        capsys.readouterr()
+        assert run_cli("run-crusader", "--s", "4", "--trials", "1", *argv) == 3, strategy
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, (strategy, err)
 
 
 def test_malformed_layout_is_a_config_error(tmp_path, capsys):
@@ -363,18 +392,24 @@ def test_config_roundtrip_and_digest(tmp_path):
         ExperimentConfig.from_dict([["n", 8]])
 
 
-@pytest.mark.parametrize("command,doc,argv", [
-    ("derive", {"overrides": 5}, []),
-    ("run-crusader", {"trials": "3"}, ["--s", "4"]),
-], ids=["overrides-int", "trials-string"])
-def test_config_values_of_the_wrong_json_types_are_a_config_error(tmp_path, capsys, command, doc, argv):
+@pytest.mark.parametrize("command,doc,argv,key", [
+    ("derive", {"overrides": 5}, [], "overrides"),
+    ("run-crusader", {"trials": "3"}, ["--s", "4"], "trials"),
+    ("derive", {"overrides": {"q": "x"}}, [], "q"),
+    ("derive", {"overrides": {"q": None}}, [], "q"),
+    ("derive", {"overrides": {"q": 5.9}}, [], "q"),
+    ("derive", {"overrides": {"q": True}}, [], "q"),
+    ("derive", {"overrides": {"delta_cap": "3"}}, [], "delta_cap"),
+], ids=["overrides-int", "trials-string", "override-string", "override-null", "override-float", "override-bool",
+        "override-delta_cap-string"])
+def test_config_values_of_the_wrong_json_types_are_a_config_error(tmp_path, capsys, command, doc, argv, key):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli(command, "--config", str(path), *argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
-    assert repr(next(iter(doc))) in err
+    assert repr(key) in err
 
 
 @pytest.mark.parametrize("key,value", [

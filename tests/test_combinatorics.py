@@ -8,7 +8,6 @@ import pytest
 
 from coinforge.combinatorics import (
     DEFAULT_CHECK_BUDGET,
-    CommitteeLayout,
     GenerationError,
     InfeasibleGraphError,
     InfeasibleLayoutError,
@@ -49,13 +48,13 @@ def test_full_committee_branch():
     assert layout.verified == "exhaustive"
     assert layout.attempts == 1
     # any fault set intersects every committee in |B| < alpha*s elements
-    res = verify_committees(layout, None, 1 / 3, 1 / 12, 1, "exhaustive")
+    res = verify_committees(layout.committees, layout.n, 1 / 3, 1 / 12, 1)
     assert res.passed
 
 
 def test_full_committees_at_epsilon_zero_are_no_proof():
     # b = floor(0.5 * 6) = 3 reaches alpha*s = 3: {0, 1, 2} overloads every copy of [6]
-    res = verify_committees((tuple(range(6)),) * 3, 6, 0.5, 0.0, 1, "exhaustive")
+    res = verify_committees((tuple(range(6)),) * 3, 6, 0.5, 0.0, 1)
     assert not res.passed and res.witness == (0, 1, 2)
     with pytest.raises(InfeasibleLayoutError):
         gen_committees(6, 3, 6, 0.5, 0.0, 1, seed=0)
@@ -69,8 +68,7 @@ def test_c_zero_rejected():
 
 def test_handbuilt_overloaded_layout_fails_with_lex_smallest_witness():
     committees = ((0, 1, 2, 3), (0, 1, 4, 5), (2, 4, 6, 8), (3, 5, 7, 9), (6, 7, 8, 9))
-    layout = CommitteeLayout(10, 5, 4, committees, "unverified", 0)
-    res = verify_committees(layout, None, 1 / 3, 1 / 12, 2, "exhaustive")
+    res = verify_committees(committees, 10, 1 / 3, 1 / 12, 2)
     assert not res.passed
     assert res.witness == (0, 1)  # both committees 0 and 1 contain {0, 1}
 
@@ -78,7 +76,7 @@ def test_handbuilt_overloaded_layout_fails_with_lex_smallest_witness():
 def test_feasible_layout_verifies_and_reverifies():
     layout = gen_committees(8, 5, 4, 1 / 3, 1 / 12, 4, seed=11)
     assert layout.verified == "exhaustive"
-    again = verify_committees(layout, None, 1 / 3, 1 / 12, 4, "exhaustive")
+    again = verify_committees(layout.committees, layout.n, 1 / 3, 1 / 12, 4)
     assert again.passed  # idempotent
     twin = gen_committees(8, 5, 4, 1 / 3, 1 / 12, 4, seed=11)
     assert twin.committees == layout.committees  # reproducible
@@ -92,7 +90,7 @@ def test_overconstrained_point_always_fails():
     for seed in range(4):
         rng = random.Random(seed)
         committees = tuple(sample_without_replacement(rng, list(range(14)), 6) for _ in range(9))
-        res = verify_committees(committees, 14, 1 / 3, 1 / 12, 3, "exhaustive")
+        res = verify_committees(committees, 14, 1 / 3, 1 / 12, 3)
         assert not res.passed and res.witness is not None
     with pytest.raises(GenerationError, match="resamples"):
         gen_committees(14, 9, 6, 1 / 3, 1 / 12, 3, seed=0, max_attempts=8)
@@ -122,7 +120,7 @@ def test_certificate_fires_only_above_the_pigeonhole_limit():
     # the C(4,1)=4 singletons. q=2, c=2 sits at equality (2*2 = 1*4): feasible.
     assert overloading_fault_sets(4, 2, 1, 1 / 2) == 2
     assert not _certificate_fires(4, 2, 2, 1 / 2, 1 / 8, 2)
-    assert verify_committees(((0, 1), (2, 3)), 4, 1 / 2, 1 / 8, 2, "exhaustive").passed
+    assert verify_committees(((0, 1), (2, 3)), 4, 1 / 2, 1 / 8, 2).passed
     with pytest.raises(InfeasibleLayoutError, match="resamples") as info:
         gen_committees(4, 3, 2, 1 / 2, 1 / 8, 2, seed=0)
     err = info.value
@@ -145,8 +143,7 @@ def test_certificate_agrees_with_exhaustive_verifier():
                     for _ in range(3):
                         committees = tuple(sample_without_replacement(rng, list(range(n)), s)
                                            for _ in range(q))
-                        assert not verify_committees(committees, n, alpha, epsilon, c,
-                                                     "exhaustive").passed
+                        assert not verify_committees(committees, n, alpha, epsilon, c).passed
     assert fired > 0
 
 
@@ -167,14 +164,13 @@ def test_epsilon_above_alpha_is_a_param_error():
         gen_committees(8, 5, 4, 0.1, 0.3, 2, seed=0)
     with pytest.raises(ParamError, match="negative"):
         check_committee_feasibility(8, 5, 4, 0.1, 0.3, 2)
-    for mode in ("exhaustive", "none"):
-        with pytest.raises(ParamError, match="negative"):
-            verify_committees(((0, 1, 2, 3),), 8, 0.1, 0.3, 2, mode)
+    with pytest.raises(ParamError, match="negative"):
+        verify_committees(((0, 1, 2, 3),), 8, 0.1, 0.3, 2)
 
 
 def test_committee_ids_outside_the_universe_are_a_param_error():
     with pytest.raises(ParamError, match="lie in"):
-        verify_committees(((0, 1, 40), (2, 3, 4)), 8, 1 / 3, 1 / 12, 2, "exhaustive")
+        verify_committees(((0, 1, 40), (2, 3, 4)), 8, 1 / 3, 1 / 12, 2)
 
 
 def _graph_certificate_fires(s, n, d, delta):
@@ -237,7 +233,7 @@ def test_graph_certificate_spares_the_benchmark_point():
 def test_exhaustive_budget_rejection():
     committees = tuple(tuple(range(i, i + 10)) for i in range(6))
     with pytest.raises(VerificationBudgetError, match="--verify none") as info:
-        verify_committees(committees, 40, 1 / 3, 1 / 12, 3, "exhaustive", check_budget=1000)
+        verify_committees(committees, 40, 1 / 3, 1 / 12, 3, check_budget=1000)
     # b = floor((1/3 - 1/12) * 40) = 10: C(40, 10) fault sets times 6 committees
     assert (info.value.checks, info.value.budget) == (math.comb(40, 10) * 6, 1000)
     assert f"{math.comb(40, 10) * 6} checks" in str(info.value) and "budget of 1000" in str(info.value)
@@ -268,8 +264,8 @@ def test_points_that_pass_unscanned_are_never_refused_for_budget():
     # b = ceil(9/3)-1 = 2 < 5/2: no receiver can be deafened, at a degree below ceil(2s/3)
     assert gen_publish_graph(committee, 16, 2, 5, seed=0, check_budget=0).verified == "exhaustive"
     assert gen_committees(40, 9, 20, 0.3333, 0.125, 10, seed=1, check_budget=0).attempts == 1  # q < c
-    res = verify_committees(gen_committees(40, 9, 40, 0.3333, 0.125, 3, seed=1, check_budget=0), None,
-                            0.3333, 0.125, 3, check_budget=0)  # s = n: b = 8 < alpha*s
+    layout = gen_committees(40, 9, 40, 0.3333, 0.125, 3, seed=1, check_budget=0)
+    res = verify_committees(layout.committees, 40, 0.3333, 0.125, 3, check_budget=0)  # s = n: b = 8 < alpha*s
     assert res.passed and not res.enumerated and res.note == "fault sets are smaller than the threshold"
 
 
@@ -280,13 +276,14 @@ def test_publish_graph_generation_and_exhaustive_verification():
     g = gen_publish_graph(committee, 16, 1, delta, seed=4)
     assert len(g.adjacency) == 16
     assert all(len(a) == 6 and a == tuple(sorted(a)) for a in g.adjacency)
-    # degree hits the ceil(2s/3) trivial branch: pass without enumeration
-    res = verify_publish_graph(g, committee, 1, "exhaustive")
-    assert res.passed and not res.enumerated
-    # forcing the scan still passes and visits all C(9,2)=36 fault sets
-    forced = verify_publish_graph(g, committee, 1, "exhaustive", force_enumeration=True)
-    assert forced.passed and forced.enumerated
-    assert forced.checks == 36 * 16
+    # degree ceil(2s/3) = 6: fault sets of size 2 < 6/2 pass without enumeration, and
+    # none of the C(9,2)=36 of them gives any receiver 3 neighbours in B
+    res = verify_publish_graph(g, committee, 1)
+    assert res.passed and not res.enumerated and res.checks == 0
+    assert all(len(set(row) & set(b)) < 3 for b in itertools.combinations(committee, 2) for row in g.adjacency)
+    # at degree 4 (threshold 2) the scan runs, passes and visits all 36 fault sets
+    scanned = verify_publish_graph(gen_publish_graph(committee, 16, 5, 4, seed=5), committee, 5)
+    assert scanned.passed and scanned.enumerated and scanned.checks == 36 * 16
     twin = gen_publish_graph(committee, 16, 1, delta, seed=4)
     assert twin.adjacency == g.adjacency
 
@@ -294,7 +291,7 @@ def test_publish_graph_generation_and_exhaustive_verification():
 def test_publish_graph_trivial_branches():
     committee = tuple(range(9))
     g = gen_publish_graph(committee, 4, 1, 6, seed=1, verify_mode="none")
-    res = verify_publish_graph(g, committee, 5, "exhaustive")  # d > n
+    res = verify_publish_graph(g, committee, 5)  # d > n
     assert res.passed and not res.enumerated and "fewer rows" in res.note
 
 
@@ -401,7 +398,7 @@ def test_publish_graph_rows_outside_the_committee_are_refused():
     committee = tuple(range(7))
     graph = PublishGraph(0, ((0, 1, 99),) * 4, "x", 0)
     with pytest.raises(ParamError, match="members of the committee"):
-        verify_publish_graph(graph, committee, 2, "exhaustive")
+        verify_publish_graph(graph, committee, 2)
 
 
 @pytest.mark.parametrize("mode", ["sampled", "bogus"])
@@ -410,13 +407,9 @@ def test_unknown_verify_modes_are_refused_before_any_draw(mode, monkeypatch):
     drawn = []
     monkeypatch.setattr("coinforge.combinatorics.sample_without_replacement",
                         lambda *a: drawn.append(a))
-    committees = ((0, 1, 2, 3), (4, 5, 6, 7))
-    graph = PublishGraph(0, ((0, 1),) * 8, "x", 0)
-    for call in (lambda: verify_committees(committees, 8, 1 / 3, 1 / 12, 2, mode),
-                 lambda: verify_publish_graph(graph, committees[0], 2, mode),
-                 lambda: gen_committees(8, 5, 4, 1 / 3, 1 / 12, 4, seed=11, verify_mode=mode),
+    for call in (lambda: gen_committees(8, 5, 4, 1 / 3, 1 / 12, 4, seed=11, verify_mode=mode),
                  lambda: gen_committees(8, 5, 8, 1 / 3, 1 / 12, 4, seed=11, verify_mode=mode),  # s = n
-                 lambda: gen_publish_graph(committees[0], 8, 1, 3, seed=0, verify_mode=mode)):
+                 lambda: gen_publish_graph((0, 1, 2, 3), 8, 1, 3, seed=0, verify_mode=mode)):
         with pytest.raises(ParamError, match="unknown verify mode"):
             call()
     assert drawn == []

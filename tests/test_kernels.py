@@ -14,7 +14,7 @@ from coinforge.combinatorics import (
     verify_committees,
     verify_publish_graph,
 )
-from coinforge.params import ParamError
+from coinforge.params import ParamError, crusader_fault_bound
 
 
 def _brute(rows, b_sets, threshold):
@@ -80,7 +80,7 @@ def _reference_scan(rows, universe, size, threshold, cap):
 def _check_committees(committees, n, alpha, epsilon, c):
     b = combinatorics.committee_fault_size(n, alpha, epsilon)
     want = _reference_scan(committees, list(range(n)), b, alpha * len(committees[0]), c)
-    res = verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
+    res = verify_committees(committees, n, alpha, epsilon, c, check_budget=10**9)
     if res.enumerated:
         assert (res.witness, res.checks) == want
     assert res.passed == (want[0] is None)
@@ -120,7 +120,7 @@ def test_scan_finds_deep_witness_like_reference(n, b, start):
 def test_scan_full_pass_counts_every_check():
     rows = [(0, 1, 2)] * 3
     assert _scan(rows, range(30), 4, 4.0, 1) == (None, 3 * math.comb(30, 4))
-    assert _scan(rows, range(30), 0, 1.0, 1) == (None, 0)
+    assert _scan(rows, range(30), 0, 1.0, 1) == (None, 3)  # C(30, 0) = 1 fault set, the empty one
     assert _scan(rows, range(30), 4, 3.0, 3) == ((0, 1, 2, 3), 3 * 8192)
 
 
@@ -140,10 +140,10 @@ def test_unscanned_passes_have_no_witness_in_the_reference_scan():
         committees = tuple(sample_without_replacement(rng, list(range(n)), s) for _ in range(rng.randint(1, 6)))
         if alpha <= 0:
             with pytest.raises(ParamError, match="alpha must be positive"):
-                verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
+                verify_committees(committees, n, alpha, epsilon, c, check_budget=10**9)
             refused["committees"] += 1
         else:
-            res = verify_committees(committees, n, alpha, epsilon, c, "exhaustive", check_budget=10**9)
+            res = verify_committees(committees, n, alpha, epsilon, c, check_budget=10**9)
             b = combinatorics.committee_fault_size(n, alpha, epsilon)
             assert res.passed == (_reference_scan(committees, list(range(n)), b, alpha * s, c)[0] is None)
             if not res.enumerated:
@@ -161,7 +161,7 @@ def test_unscanned_passes_have_no_witness_in_the_reference_scan():
             refused["graph"] += 1
             continue
         res = verify_publish_graph(graph, members, d, check_budget=10**9)
-        b = combinatorics.graph_fault_size(len(members))
+        b = crusader_fault_bound(len(members))
         assert res.passed == (_reference_scan(adjacency, list(members), b, delta / 2.0, d)[0] is None)
         if not res.enumerated:
             key = ("graph", res.note, False, len(adjacency) < d, delta < math.ceil(2 * len(members) / 3), b == 0)
@@ -188,20 +188,37 @@ def test_a_threshold_of_zero_is_refused_not_passed():
         verify_publish_graph(PublishGraph(0, ((),) * 3, "x", 0), (0, 1, 2), 1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: verify_committees(((),) * 5, 8, 1 / 3, 1 / 3, 2), "one size >= 1"),  # {} meets every empty row
+    (lambda: verify_committees((), 8, 1 / 3, 1 / 12, 2), "one or more rows"),
+    (lambda: verify_committees(((0, 1, 2, 3), (4, 5, 6)), 8, 1 / 3, 1 / 12, 2), r"sizes \[3, 4\]"),
+    (lambda: verify_publish_graph(PublishGraph(0, ((0, 1), (1, 2), (2,)), "x", 0), (0, 1, 2), 2), "one size"),
+    (lambda: verify_committees(((0, 1, 2, 3),) * 5, 8, 0.9, -0.5, 2), "= 11 exceeds n=8"),
+    (lambda: combinatorics.gen_committees(8, 5, 4, 0.9, -0.5, 2, seed=0), "= 11 exceeds n=8"),
+], ids=["empty-rows", "no-rows", "mixed-committee-sizes", "unequal-degrees", "b-above-n", "gen-b-above-n"])
+def test_inputs_without_one_row_size_or_with_b_above_n_are_refused(call, message):
+    with pytest.raises(ParamError, match=message):
+        call()
+
+
 def test_publish_graph_scan_with_non_contiguous_ids_matches_reference():
     rng = random.Random(99)
     outcomes = set()
-    for _ in range(30):
+    scanned = 0
+    for _ in range(60):
         members = tuple(sorted(rng.sample(range(200), rng.randint(4, 12))))
         s = len(members)
         delta = rng.randint(1, s)
         adjacency = tuple(sample_without_replacement(rng, list(members), delta)
                           for _ in range(rng.randint(1, 20)))
         d = rng.randint(1, 4)
-        b = combinatorics.graph_fault_size(s)
+        b = crusader_fault_bound(s)
         want = _reference_scan(adjacency, list(members), b, delta / 2.0, d)
-        res = verify_publish_graph(PublishGraph(0, adjacency, "x", 0), members, d,
-                                   force_enumeration=True)
-        assert (res.witness, res.checks) == (want if b else (None, 0))
+        res = verify_publish_graph(PublishGraph(0, adjacency, "x", 0), members, d)
+        if res.enumerated:
+            assert (res.witness, res.checks) == want
+            scanned += 1
+        else:
+            assert want[0] is None and res.passed
         outcomes.add(res.passed)
-    assert outcomes == {True, False}
+    assert outcomes == {True, False} and scanned >= 15
