@@ -51,7 +51,6 @@ from .protocols import (
     PublishProtocol,
     TransformProtocol,
     elect_leader,
-    ideal_strong_coin,
     per_bit_delta,
 )
 from .analysis import (

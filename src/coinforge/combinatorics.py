@@ -73,10 +73,7 @@ class VerificationBudgetError(ParamError):
 
     def __init__(self, checks: int, budget: int):
         self.checks, self.budget = checks, budget
-        super().__init__(
-            f"exhaustive verification needs {checks} checks, more than the budget of {budget}; "
-            f"--verify none writes an \"unverified\" object instead"
-        )
+        super().__init__(f"exhaustive verification needs {checks} checks, more than the budget of {budget}")
 
 
 class GenerationError(RuntimeError):

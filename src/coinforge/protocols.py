@@ -221,19 +221,6 @@ class BenorSM:
         return []
 
 
-def ideal_strong_coin(inst: int, members: tuple[int, ...], delta: float, R: float, alpha: float) -> CoinSpec:
-    """Oracle-backed committee coin: fair with probability delta per instance,
-    every honest member outputs the common fresh bit within R of activation,
-    the adversary chooses output times (and, for unfair instances, the member
-    outputs). The drawn bit is revealed to the adversary view at activation.
-    The contract is void once alpha*|members| members are corrupted."""
-    if not (0.0 < delta <= 1.0):
-        raise ParamError("delta must be in (0, 1]")
-    if R <= 0:
-        raise ParamError("R must be positive")
-    return CoinSpec(inst, tuple(members), delta, R, alpha * len(members))
-
-
 # --- transformation party ----------------------------------------------------
 
 
@@ -379,7 +366,7 @@ class TransformProtocol:
         self.publish = [PublishProtocol(c, self.n, g, None) for c, g in zip(layout.committees, graphs)]
         instances = [(e * self.q + j, p.committee) for e in range(ell) for j, p in enumerate(self.publish)]
         if coin_mode == "ideal":
-            self.coin_specs = [ideal_strong_coin(inst, members, cp.delta, cp.R, cp.alpha)
+            self.coin_specs = [CoinSpec(inst, members, cp.delta, cp.R, cp.alpha * len(members))
                                for inst, members in instances]
             self.benor_instances = []
         else:

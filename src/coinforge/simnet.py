@@ -18,6 +18,11 @@ the adversary sees payloads only on edges touching corrupted parties; a
 full-information toggle exists for demonstrations of payload-reading attacks.
 Self-addressed messages deliver at the send instant with zero delay and count
 in message totals.
+
+The adversary (a `strategies` plug-in) sees the run only through its
+AdversaryView and acts only through AdversaryActions, each checked against
+the rules above. An envelope is pending while its id is in `_sched`, the one
+record of what may still be dropped or re-timed.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ class Envelope:
 
     __slots__ = (
         "id", "sender", "recipient", "inst", "kind", "payload", "size_bits",
-        "sent_at", "delivered_at", "honest_at_send", "dropped",
+        "sent_at", "delivered_at", "honest_at_send",
     )
 
     def __init__(self, eid, sender, recipient, inst, kind, payload, size_bits, sent_at, honest_at_send):
@@ -83,24 +88,19 @@ class Envelope:
         self.sent_at = sent_at
         self.delivered_at = None
         self.honest_at_send = honest_at_send
-        self.dropped = False
 
 
 @dataclass(frozen=True)
 class AdversaryAction:
     """One scheduler/corruption decision."""
 
-    kind: str  # deliver | delay | corrupt | drop | inject | coin_set
+    kind: str  # delay | corrupt | drop | inject | coin_set; delay(eid, view.now) delivers at once
     envelope_id: int | None = None
     party: int | None = None
     time: float | None = None
     instance: int | None = None
     bit: int | None = None
     message: dict | None = None
-
-    @classmethod
-    def deliver(cls, envelope_id):
-        return cls("deliver", envelope_id=envelope_id)
 
     @classmethod
     def delay(cls, envelope_id, time):
@@ -125,7 +125,9 @@ class AdversaryAction:
 
 @dataclass
 class CoinSpec:
-    """Static description of one committee coin instance."""
+    """Static description of one oracle coin instance: fair with probability
+    delta, when every honest member outputs the common fresh bit within R.
+    The adversary times the outputs and chooses those of an unfair instance."""
 
     inst: int
     members: tuple[int, ...]
@@ -261,7 +263,7 @@ class Simulation:
         *,
         mode: str = "secure",
         t_budget: int = 0,
-        record_log: bool = False,
+        log: list | None = None,
         step_budget: int = DEFAULT_STEP_BUDGET,
     ):
         if mode not in ("secure", "full_info"):
@@ -271,7 +273,7 @@ class Simulation:
         self.seed = seed
         self.mode = mode
         self.t_budget = t_budget
-        self.record_log = record_log
+        self.log = log  # event records are appended here when given
         self.step_budget = step_budget
 
         self.n = protocol.n
@@ -284,7 +286,6 @@ class Simulation:
         self.corrupted: set[int] = set()
         self.corruption_log: list[tuple[int, float]] = []
         self.view = AdversaryView(self)
-        self.log: list[dict] = []
         self.events = 0
         self.budget_hit = False
 
@@ -319,7 +320,7 @@ class Simulation:
         # outputs; a coin the parties run themselves is message traffic, and
         # its protocol reports the ground truth (`benor_truth`) at report time
         self.coin_instances: list[CoinInstance] = []
-        strategy.bind(self, random.Random(mix64(seed, 2)))
+        strategy.bind(self.view, random.Random(mix64(seed, 2)))
         for spec in getattr(protocol, "coin_specs", ()):
             g = self.rng.random() < spec.delta
             b = self.rng.getrandbits(1)
@@ -351,7 +352,7 @@ class Simulation:
         kind_count, kind_size = self._kind_count, self._kind_size
         envelopes, sched, heap = self.envelopes, self._sched, self._heap
         append, delay_for, deadline = envelopes.append, self._delay_for, DEADLINE
-        record_log = self.record_log
+        log = self.log
         now = self.now
         seq = self._seq
         eid = len(envelopes)
@@ -373,8 +374,8 @@ class Simulation:
                 sched[eid] = t
                 seq += 1
                 heappush(heap, (t, seq, 0, eid))
-                if record_log:
-                    self.log.append({"time": now, "kind": "send", "envelope_id": eid,
+                if log is not None:
+                    log.append({"time": now, "kind": "send", "envelope_id": eid,
                                      "detail": f"{sender}->{r} {KIND_NAMES[kind]}/{inst} p={payload}"})
                 eid += 1
         self._seq = seq
@@ -391,23 +392,21 @@ class Simulation:
                 raise StrategyViolation(f"corruption budget {self.t_budget} exceeded")
             self.corrupted.add(p)
             self.corruption_log.append((p, self.now))
-            if self.record_log:
+            if self.log is not None:
                 self.log.append({"time": self.now, "kind": "corrupt", "party": p, "detail": ""})
         elif kind == "drop":
             env = self.envelopes[act.envelope_id]
             if env.sender not in self.corrupted:
                 raise StrategyViolation("cannot drop an envelope from an honest sender")
-            if env.delivered_at is not None or env.dropped:
+            if self._sched.pop(env.id, None) is None:
                 raise StrategyViolation("envelope already delivered or dropped")
-            env.dropped = True
-            self._sched.pop(env.id, None)
-            if self.record_log:
+            if self.log is not None:
                 self.log.append({"time": self.now, "kind": "drop", "envelope_id": env.id, "detail": ""})
-        elif kind in ("delay", "deliver"):
+        elif kind == "delay":
             env = self.envelopes[act.envelope_id]
-            if env.delivered_at is not None or env.dropped:
+            if env.id not in self._sched:
                 raise StrategyViolation("envelope already delivered or dropped")
-            t = self.now if kind == "deliver" else act.time
+            t = act.time
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
             if env.sender not in self.corrupted and env.recipient != env.sender:
@@ -493,7 +492,7 @@ class Simulation:
         heap, envelopes, sched = self._heap, self.envelopes, self._sched
         corrupted, parties, output_times = self.corrupted, self.parties, self.output_times
         sender_max_delay = self._sender_max_delay
-        record_log = self.record_log
+        log = self.log
         while heap:
             self.events += 1
             if self.events > MAX_EVENTS:
@@ -506,8 +505,8 @@ class Simulation:
                 self.now = t
                 env.delivered_at = t
                 del sched[arg]
-                if record_log:
-                    self.log.append({"time": t, "kind": "deliver", "envelope_id": arg, "detail": ""})
+                if log is not None:
+                    log.append({"time": t, "kind": "deliver", "envelope_id": arg, "detail": ""})
                 rec, sender = env.recipient, env.sender
                 if rec != sender and sender not in corrupted:
                     delay = t - env.sent_at
@@ -519,37 +518,35 @@ class Simulation:
                     if msgs:
                         self._emit(rec, msgs)
                     if party.output is not None and output_times[rec] is None:
-                        output_times[rec] = t
-                        if record_log:
-                            self.log.append({"time": t, "kind": "output", "party": rec,
-                                             "detail": repr(party.output)})
+                        self._decided(rec, t)
             else:
                 idx, member = arg
                 ci = self.coin_instances[idx]
                 self.now = t
                 if member in ci.output_times or member in corrupted:
                     continue
-                if ci.offsets.get(member) is not None and ci.offsets[member] != t:
+                if ci.offsets[member] != t:
                     continue  # re-timed; stale entry
                 fair = ci.resolve(corrupted)
-                if fair:
-                    bit = ci.b_star
-                else:
-                    bit = ci.assigned.get(member)
-                    if bit is None:
-                        bit = strategy.adversarial_coin_bit(ci.spec, member, self.view)
+                bit = ci.b_star if fair else ci.assigned.get(member, 0)
                 ci.output_times[member] = t
-                if record_log:
-                    self.log.append({"time": t, "kind": "coin", "party": member,
-                                     "detail": f"inst={ci.spec.inst} bit={bit} fair={fair}"})
+                if log is not None:
+                    log.append({"time": t, "kind": "coin", "party": member,
+                                "detail": f"inst={ci.spec.inst} bit={bit} fair={fair}"})
                 party = parties[member]
                 self._emit(member, party.on_coin(ci.spec.inst, bit))
                 if party.output is not None and output_times[member] is None:
-                    output_times[member] = t
+                    self._decided(member, t)
             if reactive:
                 self._adversary_phase()
                 reactive = strategy.reactive
         return self._report()
+
+    def _decided(self, pid, t):
+        """Party `pid` has just set its output, on a message or on a coin output."""
+        self.output_times[pid] = t
+        if self.log is not None:
+            self.log.append({"time": t, "kind": "output", "party": pid, "detail": repr(self.parties[pid].output)})
 
     # -- reporting ---------------------------------------------------------------
 
@@ -640,22 +637,18 @@ class Simulation:
 def run_simulation(protocol, strategy, seed: int, log=None, **kw) -> TrialReport:
     """Build one Simulation, run it to quiescence, return the report.
 
-    Given a list as `log`, the run records its event log and appends it there.
+    Given a list as `log`, the run appends its event records there as they happen.
 
     A finished trial holds no reference cycles and is freed by reference
     counting, so the cyclic collector is paused while it runs (its envelopes
     would otherwise set off young-generation scans of live objects) and the
     caller's collector state is restored on the way out, also on an error.
     """
-    if log is not None:
-        kw["record_log"] = True
     enabled = gc.isenabled()
     gc.disable()
     try:
-        sim = Simulation(protocol, strategy, seed, **kw)
+        sim = Simulation(protocol, strategy, seed, log=log, **kw)
         report = sim.run()
-        if log is not None:
-            log.extend(sim.log)
         del sim  # freed here, before the collector can run again
         return report
     finally:

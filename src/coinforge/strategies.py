@@ -1,22 +1,24 @@
 """Adversary strategies: the scheduling/corruption plugin API plus built-ins.
 
-A strategy sees an AdversaryView and steers the run through two channels:
+A strategy sees the run only through an AdversaryView, one channel per decision:
 
+  * bind(view, rng) runs before the first event: it takes the per-trial rng
+    and may refuse the run from view.n, view.mode or view.protocol.
   * delay_for(env) is consulted once per cross-party send and returns the
     delivery delay in (0, 1]; None means the 1-unit deadline. This is sugar
     for an immediate "delay" action and keeps the common path cheap.
+  * coin_offsets(spec, view) times an instance's coin outputs at activation.
   * next_action(view) is polled after every event while it returns actions
-    (corrupt / drop / delay / deliver / inject / coin_set); None means
-    "nothing now". Only strategies with `reactive` true are polled, and a
-    strategy with nothing left to do sets `reactive = False`: the run loop
-    re-reads the flag after each adversary phase and, once it reads False,
-    never polls that strategy again. A strategy that decides everything at
-    its first poll subclasses PlannedStrategy and returns the actions from
-    plan(view); they are handed out in order, then the flag turns off.
+    (corrupt / drop / delay / inject / coin_set); None means "nothing now".
+    delay(eid, view.now) delivers at once; coin_set(..., bit=b) alone picks
+    an unfair coin member's output (0 otherwise). Only strategies with
+    `reactive` true are polled; one with nothing left to do sets
+    `reactive = False`, which the run loop re-reads after each adversary
+    phase, never polling it again. A strategy that decides everything at its
+    first poll subclasses PlannedStrategy: plan(view) lists the actions,
+    handed out in order before the flag turns off.
 
-bind(sim, rng) hands a strategy its per-trial rng and may read the run's
-settings (n, mode); it keeps no reference to `sim`. The view passed to the
-hooks is detached once run() returns, and a trial runs with the cyclic
+The view is detached once run() returns, and a trial runs with the cyclic
 collector paused, so a strategy should build no reference cycles it expects
 to be collected mid-run.
 
@@ -62,8 +64,7 @@ class Strategy:
         _at_most(args, 0)
         return cls()
 
-    def bind(self, sim, rng):
-        # no reference to `sim` is kept, so a finished trial is freed by reference counting
+    def bind(self, view, rng):
         self.rng = rng
 
     def delay_for(self, env):
@@ -73,10 +74,9 @@ class Strategy:
         return None
 
     def coin_offsets(self, spec, view):
-        return None  # every member outputs at the latest allowed instant R
-
-    def adversarial_coin_bit(self, spec, member, view):
-        return 0
+        """Member -> output offset in (0, R]; None puts every member at R. A strategy
+        that is never polled (random_delay) cannot coin_set, so it times coin outputs here."""
+        return None
 
 
 def _at_most(args, count):
@@ -144,13 +144,13 @@ class CommitteeTargeterStrategy(PlannedStrategy):
     def from_args(cls, args):
         return cls([int(a) for a in args])  # any number of targets
 
-    def bind(self, sim, rng):
-        layout = getattr(sim.protocol, "layout", None)
+    def bind(self, view, rng):
+        layout = getattr(view.protocol, "layout", None)
         if layout is None:
             raise StrategyViolation("committee_targeter needs a protocol with a committee layout")
         if not all(0 <= j < layout.q for j in self.targets):
             raise ParamError(f"committee_targeter: target ids {self.targets} must lie in [0, {layout.q})")
-        super().bind(sim, rng)
+        super().bind(view, rng)
 
     def plan(self, view):
         proto = view.protocol
@@ -193,9 +193,9 @@ class PublishDelayerStrategy(Strategy):
         _at_most(args, 1)
         return cls(float(args[0]) if args else 1.0)
 
-    def bind(self, sim, rng):
-        super().bind(sim, rng)
-        self._cut = math.ceil(self.fraction * sim.n)
+    def bind(self, view, rng):
+        super().bind(view, rng)
+        self._cut = math.ceil(self.fraction * view.n)
 
     def delay_for(self, env):
         if env.kind == K_PUB and env.recipient < self._cut:
@@ -215,10 +215,10 @@ class BenorBiaserStrategy(PlannedStrategy):
     name = "benor_biaser"
     EARLY = 0.25  # delay of the bits a half hears first; the others wait for the deadline
 
-    def bind(self, sim, rng):
-        if sim.mode != "full_info":
+    def bind(self, view, rng):
+        if view.mode != "full_info":
             raise StrategyViolation("benor_biaser demands payload visibility (full-information mode)")
-        super().bind(sim, rng)
+        super().bind(view, rng)
 
     def plan(self, view):
         n = view.n
@@ -266,16 +266,15 @@ class CombinedStrategy(Strategy):
 
     def __init__(self, *parts):
         self.parts = list(parts)
-        self._delayers = [p.delay_for for p in self.parts]
 
     @property
     def reactive(self):
         return any(getattr(p, "reactive", False) for p in self.parts)
 
-    def bind(self, sim, rng):
-        super().bind(sim, rng)
+    def bind(self, view, rng):
+        super().bind(view, rng)
         for p in self.parts:
-            p.bind(sim, random.Random(rng.getrandbits(63)))
+            p.bind(view, random.Random(rng.getrandbits(63)))
         # a part that keeps the base delay_for always answers None and draws
         # nothing, so skipping it changes neither the winner nor any rng stream
         self._delayers = [p.delay_for for p in self.parts
@@ -303,12 +302,6 @@ class CombinedStrategy(Strategy):
         for p in self.parts:
             merged.update(p.coin_offsets(spec, view) or {})
         return merged or None
-
-    def adversarial_coin_bit(self, spec, member, view):
-        bit = 0
-        for p in self.parts:
-            bit = p.adversarial_coin_bit(spec, member, view)
-        return bit
 
 
 _BUILT_IN = {cls.name: cls for cls in (FifoStrategy, RandomDelayStrategy, CommitteeTargeterStrategy,

@@ -232,7 +232,7 @@ def test_graph_certificate_spares_the_benchmark_point():
 
 def test_exhaustive_budget_rejection():
     committees = tuple(tuple(range(i, i + 10)) for i in range(6))
-    with pytest.raises(VerificationBudgetError, match="--verify none") as info:
+    with pytest.raises(VerificationBudgetError, match="budget of 1000$") as info:
         verify_committees(committees, 40, 1 / 3, 1 / 12, 3, check_budget=1000)
     # b = floor((1/3 - 1/12) * 40) = 10: C(40, 10) fault sets times 6 committees
     assert (info.value.checks, info.value.budget) == (math.comb(40, 10) * 6, 1000)

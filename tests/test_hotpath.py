@@ -61,11 +61,11 @@ def _digests(protocol, make_strategy, kw):
     """sha256 over report_json and the event log of every seed in SEEDS."""
     reports, logs = hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
-        sim = Simulation(protocol, make_strategy(), mix64(seed, 1000), record_log=True, **kw)
-        rep = sim.run()
+        log = []
+        rep = Simulation(protocol, make_strategy(), mix64(seed, 1000), log=log, **kw).run()
         assert report_json(run_simulation(protocol, make_strategy(), mix64(seed, 1000), **kw)) == report_json(rep)
         reports.update(report_json(rep).encode())
-        logs.update(dump_event_log(sim.log).encode())
+        logs.update(dump_event_log(log).encode())
     return reports.hexdigest(), logs.hexdigest()
 
 
@@ -263,6 +263,6 @@ def test_run_coin_log_matches_a_standalone_trial_zero(tmp_path):
     cfg = ExperimentConfig(n=8, z=0.3, epsilon=0.0833, alpha=0.3333, seed=9, layout_path=layout,
                            overrides={"q": 5, "s": 4, "c": 4, "d": 1})
     protocol, _ = build_protocol(cfg)
-    sim = Simulation(protocol, RandomDelayStrategy(), mix64(9, 1000), record_log=True)
-    sim.run()
-    assert log.read_text() == dump_event_log(sim.log)
+    records = []
+    Simulation(protocol, RandomDelayStrategy(), mix64(9, 1000), log=records).run()
+    assert log.read_text() == dump_event_log(records)

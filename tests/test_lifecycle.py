@@ -44,7 +44,7 @@ def test_finished_simulation_is_freed_by_reference_counting(name, collector_paus
     protocol, make_strategy, kw = _scenarios()[name]
     strategy = make_strategy()  # held past the run, as a caller may
     gc.collect()
-    sim = Simulation(protocol, strategy, mix64(1, 1000), record_log=True, **kw)
+    sim = Simulation(protocol, strategy, mix64(1, 1000), log=[], **kw)
     rep = sim.run()
     assert rep.events > 0
     ref = weakref.ref(sim)

@@ -114,14 +114,12 @@ def test_eventual_delivery_and_causality():
     _, _, _, _, proto = small_transform()
     sim = Simulation(proto, RandomDelayStrategy(), seed=9)
     sim.run()
-    for env in sim.envelopes:
-        if not env.dropped and env.honest_at_send:
-            assert env.delivered_at is not None
-        if env.delivered_at is not None:
-            if env.recipient == env.sender:
-                assert env.delivered_at == env.sent_at  # self-delivery is instant
-            else:
-                assert env.delivered_at > env.sent_at
+    for env in sim.envelopes:  # no one is corrupted, so every envelope is honest and delivered
+        assert env.honest_at_send and env.delivered_at is not None
+        if env.recipient == env.sender:
+            assert env.delivered_at == env.sent_at  # self-delivery is instant
+        else:
+            assert env.delivered_at > env.sent_at
         assert env.size_bits >= 1
 
 
@@ -129,9 +127,9 @@ def test_determinism_byte_for_byte():
     _, _, _, _, proto = small_transform()
     runs = []
     for _ in range(2):
-        sim = Simulation(proto, RandomDelayStrategy(), seed=77, record_log=True)
-        rep = sim.run()
-        runs.append((dump_event_log(sim.log), report_json(rep)))
+        log = []
+        rep = Simulation(proto, RandomDelayStrategy(), seed=77, log=log).run()
+        runs.append((dump_event_log(log), report_json(rep)))
     assert runs[0] == runs[1]
 
 
@@ -266,11 +264,13 @@ VIOLATIONS = {
     "drop-delivered": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), once(delivered(0), A.drop(0))),
                        "already delivered"),
     "delay-delivered": (PingProtocol, 0, lambda: Script(once(delivered(0), A.delay(0, 0.5))), "already delivered"),
-    "deliver-delivered": (PingProtocol, 0, lambda: Script(once(delivered(0), A.deliver(0))), "already delivered"),
+    "delay-dropped": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.drop(1)), now(A.delay(1, 0.5))),
+                      "already delivered or dropped"),
     "delay-into-past": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), once(after_1, A.delay(3, 0.5))),
                         "into the past"),
     "honest-delivery-late": (PingProtocol, 0, lambda: Script(now(A.delay(1, 1.5))), r"\(sent, sent\+1\]"),
-    "honest-delivery-at-send": (PingProtocol, 0, lambda: Script(now(A.deliver(1))), r"\(sent, sent\+1\]"),
+    "honest-delivery-at-send": (PingProtocol, 0, lambda: Script(lambda v: A.delay(1, v.now)),
+                                r"\(sent, sent\+1\]"),
     "inject-into-past": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), once(after_1, A.inject(PING, 0.5))),
                          "into the past"),
     "inject-from-honest": (PingProtocol, 0, lambda: Script(now(A.inject(PING, 0.5))), "honest party"),
@@ -315,6 +315,39 @@ def test_legal_coin_set_assigns_unfair_bits_and_re_times_outputs():
     for outputs, t in ((earlier, 0.5), (later, 0.75)):
         assert [(m, time) for m, time, _ in outputs] == [(0, t), (1, 1.0), (2, 1.0)]
         assert len({detail for _, _, detail in outputs}) == 1 and outputs[0][2].endswith("fair=True")
+
+
+class CoinDecideProtocol(PingProtocol):
+    """Three parties that send nothing and output the bit of their one oracle coin, with R = 1."""
+
+    n = 3
+
+    def __init__(self):
+        self.coin_specs = [CoinSpec(0, (0, 1, 2), 1.0, 1.0, 1.0)]
+
+    def make_party(self, pid, ctx):
+        class P:
+            output = None
+
+            def on_start(self):
+                return []
+
+            def on_message(self, env):
+                return []
+
+            def on_coin(self, inst, bit):
+                self.output = bit
+                return []
+
+        return P()
+
+
+def test_a_party_deciding_on_a_coin_output_gets_an_output_record():
+    log = []
+    rep = run_simulation(CoinDecideProtocol(), FifoStrategy(), seed=1, log=log)
+    assert rep.output_times == [1.0, 1.0, 1.0]
+    assert [(rec["kind"], rec["party"], rec["time"]) for rec in log] == [
+        (kind, member, 1.0) for member in range(3) for kind in ("coin", "output")]
 
 
 def test_mix64_is_stable():

@@ -72,10 +72,12 @@ def test_ideal_coin_fairness_calibration():
 def test_adversarial_instances_with_conflicting_bits_stay_live():
     cp, dp, layout, graphs, proto = small_transform(delta=0.5, layout_seed=13)
 
-    class ConflictingCoin(Strategy):
-        # split every adversarial committee's members across both bits
-        def adversarial_coin_bit(self, spec, member, view):
-            return spec.members.index(member) % 2
+    class ConflictingCoin(PlannedStrategy):
+        # split every unfair instance's members across both bits
+        def plan(self, view):
+            return [AdversaryAction.coin_set(i, member, None, bit=index % 2)
+                    for i, spec in enumerate(view.protocol.coin_specs) if not view.coin_truth(i)[0]
+                    for index, member in enumerate(spec.members)]
 
     for seed in range(120):
         rep = run_simulation(proto, ConflictingCoin(), seed=mix64(5, seed))
