@@ -43,7 +43,7 @@ def verify_anticoncentration(n_max: int) -> AntiConcentrationResult:
     is squared and cross-multiplied into integers: 25 * S^2 * n <= 64 * sigma^2 * 4^n.
     """
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise ParamError("n_max must be at least 1")
     t0 = time.perf_counter()
     pairs = 0
     failure = None
@@ -228,23 +228,20 @@ class AuditResult:
     def __bool__(self):
         return self.passed
 
-    def as_dict(self) -> dict:
-        return {"passed": self.passed, "failed_term": self.failed_term, "detail": self.detail}
 
-
-def message_caps(dp: DerivedParams, n: int, coin_cap: float = 0.0, instances: int = 1) -> dict:
-    """Honest-message caps per kind group, each for `instances` parallel instances."""
+def message_caps(dp: DerivedParams, n: int) -> dict:
+    """Honest-message caps per kind group for one toss with oracle coins, which send no messages."""
     return {
-        "crusader": 4 * dp.s**2 * dp.q * instances,
-        "publish": n * dp.delta_cap * dp.q * instances,
-        "broadcast": n * n * instances,
-        "coin": coin_cap * instances,
+        "crusader": 4 * dp.s**2 * dp.q,
+        "publish": n * dp.delta_cap * dp.q,
+        "broadcast": n * n,
+        "coin": 0,
     }
 
 
-def audit_transcript(report: TrialReport, dp: DerivedParams, n: int, R: float,
-                     coin_cap: float = 0.0, instances: int = 1) -> AuditResult:
-    """Check honest message counts against `message_caps` and latency against R + 5.
+def audit_transcript(report: TrialReport, dp: DerivedParams, n: int, R: float) -> AuditResult:
+    """Check one toss with oracle coins: honest message counts against `message_caps`
+    and latency against R + 5.
 
     Byzantine traffic is reported separately and not capped; the latency bound
     holds whenever every committee coin was live by its bound.
@@ -256,7 +253,7 @@ def audit_transcript(report: TrialReport, dp: DerivedParams, n: int, R: float,
         "broadcast": kinds.get("MAJ", 0),
         "coin": kinds.get("COIN", 0),
     }
-    for name, cap in message_caps(dp, n, coin_cap, instances).items():
+    for name, cap in message_caps(dp, n).items():
         if got[name] > cap:
             return AuditResult(False, name, f"{name}: {got[name]} > cap {cap}")
     if report.coin_live_by_bound and not math.isinf(report.latency):

@@ -16,6 +16,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import get_type_hints
 
 from . import __version__, analysis, combinatorics, protocols
 from .config import (
@@ -31,10 +32,13 @@ from .combinatorics import (
     InfeasibleGraphError,
     InfeasibleLayoutError,
 )
-from .params import ParamError, Poly, derive_params, preset_cost, transform_cost
+from .params import OVERRIDE_KEYS, CoinParams, ParamError, Poly, derive_params, preset_cost, transform_cost
 # run_simulation is not called here (trials run in analysis.run_trials); it
 # stays a module attribute because perfbench patches cli.run_simulation by name
 from .simnet import StrategyViolation, dump_event_log, mix64, run_simulation  # noqa: F401
+
+# name -> type of each CoinParams field; every field is a flag of its own
+_PARAM_TYPES = get_type_hints(CoinParams)
 
 EXIT_OK = 0
 EXIT_PROPERTY = 2
@@ -59,16 +63,10 @@ def _envelope(cfg_dict, seed, results):
 
 def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config document; flags override its values")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int)
-    p.add_argument("--z", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--R", type=float)
-    for key in ("q", "c", "s", "d", "delta-cap"):
-        p.add_argument(f"--override-{key}", type=int, dest=f"override_{key.replace('-', '_')}")
+    for name, kind in _PARAM_TYPES.items():
+        p.add_argument(f"--{name}", type=kind)
+    for key in OVERRIDE_KEYS:
+        p.add_argument(f"--override-{key.replace('_', '-')}", type=int, dest=f"override_{key}")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
@@ -85,12 +83,11 @@ def _config_from_args(args) -> ExperimentConfig:
         cfg = ExperimentConfig.from_file(args.config)
     else:
         cfg = ExperimentConfig()
-    for key in ("n", "t", "z", "k", "epsilon", "alpha", "delta", "R", "seed", "out",
-                "trials", "confidence", "mode"):
+    for key in (*_PARAM_TYPES, "seed", "out", "trials", "confidence", "mode"):
         val = getattr(args, key, None)
         if val is not None:
             setattr(cfg, key, val)
-    for key in ("q", "c", "s", "d", "delta_cap"):
+    for key in OVERRIDE_KEYS:
         val = getattr(args, f"override_{key}", None)
         if val is not None:
             cfg.overrides[key] = val
@@ -252,13 +249,23 @@ def cmd_verify_lemma4(args):
     return EXIT_OK if res.passed else EXIT_PROPERTY
 
 
+def _poly(flag, text) -> Poly:
+    """The Poly of a JSON list of [coef, exp, logpow] terms: two numbers and a non-negative integer."""
+    terms = json.loads(text)
+    if not isinstance(terms, list) or not all(
+            isinstance(t, list) and len(t) == 3 and all(type(x) in (int, float) for x in t[:2])
+            and type(t[2]) is int and t[2] >= 0 for t in terms):
+        raise ParamError(f"{flag} must be a JSON list of [coef, exp, logpow] terms, not {text}")
+    return Poly(tuple(map(tuple, terms)))
+
+
 def cmd_cost_report(args):
     cfg = _config_from_args(args)
     if args.variant:
         report = preset_cost(args.variant, cfg.n, cfg.epsilon, args.delta_prime, args.kappa)
     else:
-        M = Poly(tuple(tuple(t) for t in json.loads(args.M))) if args.M else Poly.power(2)
-        L = Poly(tuple(tuple(t) for t in json.loads(args.L))) if args.L else Poly.constant(1)
+        M = _poly("--M", args.M) if args.M else Poly.power(2)
+        L = _poly("--L", args.L) if args.L else Poly.constant(1)
         report = transform_cost(cfg.coin_params(), M, L, cfg.overrides or None)
     _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, report.as_dict()))
     print(f"cost: coin_msgs={report.strongcoin_messages:.6g} (size {report.strongcoin_msg_size:.6g}b) "

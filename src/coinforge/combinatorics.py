@@ -120,9 +120,6 @@ class VerifyResult:
     checks: int = 0
     note: str = ""
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 @dataclass(frozen=True)
 class CommitteeLayout:

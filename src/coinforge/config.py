@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 from . import protocols
 from .combinatorics import loads_layout
@@ -72,8 +72,7 @@ class ExperimentConfig:
     record_log: bool = False
 
     def coin_params(self) -> CoinParams:
-        return CoinParams(n=self.n, t=self.t, z=self.z, k=self.k, epsilon=self.epsilon,
-                          alpha=self.alpha, delta=self.delta, R=self.R)
+        return CoinParams(**{f.name: getattr(self, f.name) for f in fields(CoinParams)})
 
     def to_dict(self) -> dict:
         return asdict(self)

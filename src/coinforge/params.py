@@ -35,7 +35,7 @@ q, c, s, d, Delta directly; overridden runs are flagged in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 
 class ParamError(ValueError):
@@ -92,17 +92,7 @@ class DerivedParams:
     overridden: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "z_prime": self.z_prime,
-            "c": self.c,
-            "s": self.s,
-            "d": self.d,
-            "delta_cap": self.delta_cap,
-            "live_threshold": self.live_threshold,
-            "output_threshold": self.output_threshold,
-            "overridden": list(self.overridden),
-        }
+        return {**asdict(self), "overridden": list(self.overridden)}
 
 
 def crusader_fault_bound(s: int) -> int:
@@ -257,20 +247,8 @@ class CostReport:
         return max(self.breakdown, key=key).name
 
     def as_dict(self) -> dict:
-        return {
-            "strongcoin_messages": self.strongcoin_messages,
-            "strongcoin_msg_size": self.strongcoin_msg_size,
-            "publish_messages": self.publish_messages,
-            "broadcast_messages": self.broadcast_messages,
-            "total_bits": self.total_bits,
-            "latency_bound": self.latency_bound,
-            "breakdown": [
-                {"name": t.name, "messages": t.messages, "bits_per_message": t.bits_per_message, "bits": t.bits}
-                for t in self.breakdown
-            ],
-            "derived": self.derived.as_dict(),
-            "overridden": self.overridden,
-        }
+        return {**asdict(self), "breakdown": [{**asdict(t), "bits": t.bits} for t in self.breakdown],
+                "derived": self.derived.as_dict()}
 
 
 def transform_cost(p: CoinParams, M: Poly, L: Poly, overrides: dict | None = None) -> CostReport:
@@ -341,18 +319,8 @@ def preset_cost(variant: str, n: int, epsilon: float, delta_prime: float, kappa:
         raise ParamError("delta_prime too close to 1: committee size would reach n")
     cfg = PRESETS[variant]
     z = (1.0 - delta_prime) / 2.0
-    base = CoinParams(
-        n=n,
-        t=0,
-        z=z,
-        k=cfg["k"],
-        epsilon=epsilon,
-        alpha=cfg["alpha"],
-        delta=1.0,  # placeholder until q is known
-        R=float(math.ceil(math.log2(n))),
-    )
-    dp = derive_params(base)
-    delta = 1.0 - (1.0 - delta_prime) / (2.0 * dp.q)
-    p = CoinParams(n=n, t=base.t, z=z, k=base.k, epsilon=epsilon, alpha=base.alpha, delta=delta, R=base.R)
+    base = CoinParams(n=n, z=z, k=cfg["k"], epsilon=epsilon, alpha=cfg["alpha"],
+                      delta=1.0, R=float(math.ceil(math.log2(n))))  # delta: a placeholder until q is known
+    p = replace(base, delta=1.0 - (1.0 - delta_prime) / (2.0 * derive_params(base).q))
     L = cfg["L"] if cfg["L"] is not None else Poly.constant(kappa)
     return transform_cost(p, cfg["M"], L)

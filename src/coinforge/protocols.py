@@ -354,7 +354,6 @@ class TransformProtocol:
 
         self.n = layout.n
         self.q = dp.q
-        self.s = dp.s
         self.alpha = cp.alpha
         self.live_threshold = dp.live_threshold
         self.output_threshold = dp.output_threshold

@@ -13,16 +13,21 @@ strategy, seed) triples replay byte-identically. One simulation instance is
 strictly single-threaded; independent trials share no mutable state.
 
 Channels are authenticated: the harness stamps true sender ids and corrupted
-parties can forge content but never origin. Secure channels are the default -
-the adversary sees payloads only on edges touching corrupted parties; a
-full-information toggle exists for demonstrations of payload-reading attacks.
+parties can forge content but never origin. Secure channels are the default:
+`AdversaryView.payload_of` refuses a payload on an edge touching no corrupted
+party. That binds a strategy only through the view; `delay_for` and
+`pending_envelopes` hand over the envelopes themselves, payloads included,
+and no built-in reads one in secure mode. A full-information toggle exists
+for demonstrations of payload-reading attacks.
 Self-addressed messages deliver at the send instant with zero delay and count
 in message totals.
 
 The adversary (a `strategies` plug-in) sees the run only through its
 AdversaryView and acts only through AdversaryActions, each checked against
-the rules above. An envelope is pending while its id is in `_sched`, the one
-record of what may still be dropped or re-timed.
+the rules above before it takes effect: an id must name something that
+exists and a time must be finite. An envelope is pending while its id is in
+`_sched`, the one record of what may still be dropped or re-timed. A coin's
+fairness verdict is fixed at its first honest output, or at report time.
 """
 
 from __future__ import annotations
@@ -67,6 +72,18 @@ def _bucket_of(kind, size_bits):
 
 class StrategyViolation(RuntimeError):
     """The adversary strategy broke a model rule (budget, drop, forgery...)."""
+
+
+def _check_time(what, t):
+    """A time is a finite int or float, not a bool."""
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+        raise StrategyViolation(f"{what} {t!r} is not a finite number")
+
+
+def _check_id(what, x, count):
+    """An id names one of `count` things: an int, not a bool, in [0, count)."""
+    if type(x) is not int or not 0 <= x < count:
+        raise StrategyViolation(f"{what} {x!r} is not an id in [0, {count})")
 
 
 class Envelope:
@@ -146,15 +163,20 @@ class CoinInstance:
         self.spec = spec
         self.g_drawn = g_drawn
         self.b_star = b_star
-        self.effective = None  # resolved lazily against the corruption set
+        self.effective = None  # the fairness verdict, fixed by the first `resolve`
         self.assigned = {}  # member -> bit, used when not effective
         self.offsets = {}  # member -> scheduled offset
         self.output_times = {}  # member -> delivery time
 
+    def fair(self, corrupted):
+        """The verdict once `resolve` fixed it; before that, checked against `corrupted` and not kept."""
+        if self.effective is not None:
+            return self.effective
+        return bool(self.g_drawn) and sum(m in corrupted for m in self.spec.members) < self.spec.bad_threshold
+
     def resolve(self, corrupted):
         if self.effective is None:
-            bad = sum(1 for m in self.spec.members if m in corrupted)
-            self.effective = bool(self.g_drawn) and bad < self.spec.bad_threshold
+            self.effective = self.fair(corrupted)
         return self.effective
 
 
@@ -330,6 +352,7 @@ class Simulation:
             offsets = strategy.coin_offsets(spec, self.view) or {}
             for member in spec.members:
                 off = offsets.get(member, spec.R)
+                _check_time("coin output offset", off)
                 if not (0.0 < off <= spec.R):
                     raise StrategyViolation("coin output offset outside (0, R]")
                 ci.offsets[member] = off
@@ -386,6 +409,7 @@ class Simulation:
         kind = act.kind
         if kind == "corrupt":
             p = act.party
+            _check_id("party", p, self.n)
             if p in self.corrupted:
                 raise StrategyViolation(f"party {p} is already corrupted")
             if len(self.corrupted) + 1 > self.t_budget:
@@ -395,6 +419,7 @@ class Simulation:
             if self.log is not None:
                 self.log.append({"time": self.now, "kind": "corrupt", "party": p, "detail": ""})
         elif kind == "drop":
+            _check_id("envelope", act.envelope_id, len(self.envelopes))
             env = self.envelopes[act.envelope_id]
             if env.sender not in self.corrupted:
                 raise StrategyViolation("cannot drop an envelope from an honest sender")
@@ -403,10 +428,12 @@ class Simulation:
             if self.log is not None:
                 self.log.append({"time": self.now, "kind": "drop", "envelope_id": env.id, "detail": ""})
         elif kind == "delay":
+            _check_id("envelope", act.envelope_id, len(self.envelopes))
             env = self.envelopes[act.envelope_id]
             if env.id not in self._sched:
                 raise StrategyViolation("envelope already delivered or dropped")
             t = act.time
+            _check_time("delivery time", t)
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
             if env.sender not in self.corrupted and env.recipient != env.sender:
@@ -416,35 +443,45 @@ class Simulation:
             self._push(t, 0, env.id)
         elif kind == "inject":
             msg = act.message
-            sender = msg["sender"]
+            if not isinstance(msg, dict) or not {"sender", "recipient", "kind", "payload"} <= msg.keys():
+                raise StrategyViolation("an injected message is a dict with sender, recipient, kind and payload")
+            sender, recipient, kind = msg["sender"], msg["recipient"], msg["kind"]
+            _check_id("sender", sender, self.n)
             if sender not in self.corrupted:
                 raise StrategyViolation("cannot inject from an honest party (channels are authenticated)")
-            kind = msg["kind"]
+            _check_id("recipient", recipient, self.n)
+            _check_id("kind", kind, len(KIND_NAMES))
+            inst = msg.get("inst", 0)
+            _check_id("inst", inst, getattr(self.protocol, "maj_tag_space" if kind == K_MAJ else "tag_space", 1))
             size = msg.get("size_bits", self._kind_size[kind])
-            if size < 1:
-                raise StrategyViolation("injected messages need size_bits >= 1")
-            eid = len(self.envelopes)
-            env = Envelope(eid, sender, msg["recipient"], msg.get("inst", 0), kind,
-                           msg["payload"], size, self.now, False)
-            self.envelopes.append(env)
-            self._byz_kind_count[kind] += 1
-            self._byz_bucket[_bucket_of(kind, size)] += 1
-            t = act.time if act.time is not None else self.now + MIN_DELAY
+            if type(size) is not int or size < 1:
+                raise StrategyViolation("injected messages need an integer size_bits >= 1")
+            t = self.now + MIN_DELAY if act.time is None else act.time
+            _check_time("delivery time", t)
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
+            eid = len(self.envelopes)
+            self.envelopes.append(Envelope(eid, sender, recipient, inst, kind, msg["payload"], size,
+                                           self.now, False))
+            self._byz_kind_count[kind] += 1
+            self._byz_bucket[_bucket_of(kind, size)] += 1
             self._sched[eid] = t
             self._push(t, 0, eid)
         elif kind == "coin_set":
+            _check_id("coin instance", act.instance, len(self.coin_instances))
             ci = self.coin_instances[act.instance]
             member = act.party
-            if member not in ci.spec.members:
-                raise StrategyViolation("party is not a member of that coin instance")
-            fair = ci.resolve(self.corrupted)
+            if type(member) is not int or member not in ci.spec.members:
+                raise StrategyViolation(f"party {member!r} is not a member of that coin instance")
             if act.bit is not None:
-                if fair and member not in self.corrupted:
+                if type(act.bit) is not int or act.bit not in (0, 1):
+                    raise StrategyViolation(f"coin bit {act.bit!r} is not 0 or 1")
+                # checked, not fixed: a verdict that is unfair now stays unfair, as corruption only grows
+                if ci.fair(self.corrupted) and member not in self.corrupted:
                     raise StrategyViolation("cannot assign outputs of a fair coin instance")
                 ci.assigned[member] = act.bit
             if act.time is not None:
+                _check_time("coin output time", act.time)
                 if not (0.0 < act.time <= ci.spec.R):
                     raise StrategyViolation("coin output time outside (0, R]")
                 if member in ci.output_times:

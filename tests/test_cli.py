@@ -241,6 +241,18 @@ def test_cost_report_variants(capsys):
     assert "coin_msgs=8448" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify-lemma4", "--n-max", "0"], "n_max must be at least 1"),
+    (["cost-report", "--n", "8", "--M", "[[1,2]]"], "--M must be"),
+    (["cost-report", "--n", "8", "--M", '{"a": 1}'], "--M must be"),
+    (["cost-report", "--n", "8", "--L", "[[8,0,-1]]"], "--L must be"),
+], ids=["lemma4-n-max-0", "cost-term-of-two", "cost-terms-a-mapping", "cost-negative-logpow"])
+def test_bad_lemma4_and_cost_arguments_are_a_config_error(capsys, argv, message):
+    assert run_cli(*argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err and err.count("\n") == 1
+
+
 def test_leader_command(tmp_path, capsys):
     layout = _gen_layout(tmp_path)
     rc = run_cli("leader", "--layout", layout, "--ell", "3", "--n", "8",

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from byz import ScriptedByzantine
@@ -229,8 +231,8 @@ class Script(Strategy):
 class CoinPingProtocol(PingProtocol):
     """PingProtocol plus one oracle coin among parties 0, 1 and 2, with R = 1."""
 
-    def __init__(self, delta=1.0):
-        self.coin_specs = [CoinSpec(0, (0, 1, 2), delta, 1.0, 1.0)]
+    def __init__(self, delta=1.0, bad_threshold=1.0):
+        self.coin_specs = [CoinSpec(0, (0, 1, 2), delta, 1.0, bad_threshold)]
 
 
 def now(act):
@@ -287,6 +289,48 @@ VIOLATIONS = {
     "coin-set-bit-of-fair-coin": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, 0, None, bit=1))),
                                   "fair coin"),
     "unknown-kind": (PingProtocol, 0, lambda: Script(now(A("teleport"))), "unknown action kind 'teleport'"),
+    # malformed actions: every id names something that exists, every time is a finite number
+    "corrupt-no-such-party": (PingProtocol, 1, lambda: Script(now(A.corrupt(9))), r"party 9 is not an id in \[0, 4\)"),
+    "corrupt-negative-party": (PingProtocol, 1, lambda: Script(now(A.corrupt(-1))), "party -1 is not an id"),
+    "drop-negative-id": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.drop(-1))),
+                         "envelope -1 is not an id"),
+    "delay-bool-id": (PingProtocol, 0, lambda: Script(now(A.delay(True, 0.5))), "envelope True is not an id"),
+    "delay-no-such-envelope": (PingProtocol, 0, lambda: Script(now(A.delay(99, 0.5))),
+                               r"envelope 99 is not an id in \[0, 4\)"),
+    "delay-time-none": (PingProtocol, 0, lambda: Script(now(A.delay(1, None))), "time None is not a finite number"),
+    "delay-time-nan": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.delay(1, math.nan))),
+                       "time nan is not a finite number"),
+    "inject-time-nan": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.inject(PING, math.nan))),
+                        "time nan is not a finite number"),
+    "inject-not-a-dict": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.inject(None, 0.5))),
+                          "a dict with sender, recipient, kind and payload"),
+    "inject-no-payload": (PingProtocol, 1,
+                          lambda: Script(now(A.corrupt(0)), now(A.inject({"sender": 0, "recipient": 1, "kind": K_MAJ},
+                                                                          0.5))),
+                          "a dict with sender, recipient, kind and payload"),
+    "inject-no-such-sender": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.inject({**PING, "sender": 9},
+                                                                                                0.5))),
+                              "sender 9 is not an id"),
+    "inject-no-such-recipient": (PingProtocol, 1,
+                                 lambda: Script(now(A.corrupt(0)), now(A.inject({**PING, "recipient": 7}, 0.5))),
+                                 "recipient 7 is not an id"),
+    "inject-no-such-kind": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.inject({**PING, "kind": 9}, 0.5))),
+                            r"kind 9 is not an id in \[0, 7\)"),
+    "inject-no-such-inst": (PingProtocol, 1, lambda: Script(now(A.corrupt(0)), now(A.inject({**PING, "inst": 1}, 0.5))),
+                            r"inst 1 is not an id in \[0, 1\)"),
+    "inject-size-not-int": (PingProtocol, 1,
+                            lambda: Script(now(A.corrupt(0)), now(A.inject({**PING, "size_bits": 1.5}, 0.5))),
+                            "integer size_bits >= 1"),
+    "coin-set-negative-instance": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(-1, 0, 0.5))),
+                                   "coin instance -1 is not an id"),
+    "coin-set-no-such-instance": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(5, 0, 0.5))),
+                                  r"coin instance 5 is not an id in \[0, 1\)"),
+    "coin-set-bool-party": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, True, 0.5))), "not a member"),
+    "coin-set-bit-two": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, 0, None, bit=2))), "coin bit 2"),
+    "coin-set-time-nan": (CoinPingProtocol, 0, lambda: Script(now(A.coin_set(0, 0, math.nan))),
+                          "time nan is not a finite number"),
+    "coin-offset-nan": (CoinPingProtocol, 0, lambda: Script(offsets={0: math.nan}),
+                        "offset nan is not a finite number"),
 }
 
 
@@ -315,6 +359,18 @@ def test_legal_coin_set_assigns_unfair_bits_and_re_times_outputs():
     for outputs, t in ((earlier, 0.5), (later, 0.75)):
         assert [(m, time) for m, time, _ in outputs] == [(0, t), (1, 1.0), (2, 1.0)]
         assert len({detail for _, _, detail in outputs}) == 1 and outputs[0][2].endswith("fair=True")
+
+
+@pytest.mark.parametrize("steps", [
+    (A.corrupt(0), A.corrupt(1)),
+    (A.coin_set(0, 2, 0.5), A.corrupt(0), A.corrupt(1)),
+    (A.corrupt(0), A.coin_set(0, 0, None, bit=1), A.corrupt(1)),
+], ids=["corrupt-only", "re-time-first", "assign-between"])
+def test_coin_set_does_not_fix_the_fairness_verdict(steps):
+    # two corrupted members void the contract; every action lands at time 0, before any coin output,
+    # so a coin_set among them must not fix the verdict while only one member is corrupted
+    rep = run_simulation(CoinPingProtocol(bad_threshold=2.0), Script(*map(now, steps)), seed=1, t_budget=2)
+    assert [rec["fair"] for rec in rep.coin_truth] == [False]
 
 
 class CoinDecideProtocol(PingProtocol):
