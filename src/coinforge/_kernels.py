@@ -3,7 +3,8 @@
 Both verifiers reduce to one primitive: given row masks (committees or
 receiver adjacency rows) and a batch of candidate fault-set masks B over the
 same universe, count for each B how many rows have at least `threshold`
-members inside B.
+members inside B. The threshold is an integer quota (`params.overload_quota`),
+so the popcounts are compared as integers, never cast to float.
 
 Sets are uint64 bitsets over positions 0..width-1 of their universe, one row
 of `words = ceil(width/64)` words per set (bit p lives in word p // 64).
@@ -70,7 +71,7 @@ def suffix_table(width: int, k: int) -> np.ndarray:
     return table
 
 
-def rows_meeting_threshold(member: np.ndarray, b_sets: np.ndarray, threshold: float) -> np.ndarray:
+def rows_meeting_threshold(member: np.ndarray, b_sets: np.ndarray, threshold: int) -> np.ndarray:
     """For each candidate mask B, the number of row masks with >= threshold bits in B.
 
     member: (rows, words) uint64; b_sets: (m, words) uint64 over the same universe.

@@ -3,22 +3,25 @@
 Two combinatorial objects back the protocol:
 
   * a list of q committees (s-element subsets of [n]) such that no corruption
-    set B of size <= (alpha-epsilon)*n overloads (|Q_i ∩ B| >= alpha*s) c or
-    more of them;
+    set B of size <= (alpha-epsilon)*n overloads (|Q_i ∩ B| >= k) c or more
+    of them;
   * per committee, a bipartite graph assigning every one of the n receiver
     vertices exactly Delta distinct neighbors inside the committee, such that
-    no fault set B ⊂ Q of size ceil(s/3)-1 gives d or more receivers at least
-    Delta/2 neighbors in B.
+    no fault set B ⊂ Q of size ceil(s/3)-1 gives d or more receivers k' or
+    more neighbors in B.
 
-Both caps are one property: no b-subset B of a universe gives cap or more
-rows threshold or more members in B. Each verifier takes rows of one size
-and a cap, checks them, and hands them to one cap check (`_cap_check`). One
-rule (`_unscanned_reason`) passes a cap without a scan: fewer rows than the
-cap, or fault sets smaller than the threshold (|row ∩ B| <= |B| < threshold),
-which covers empty fault sets, every s = n layout at epsilon > 0
+The thresholds are integer quotas from the one overload rule
+`params.overload_quota`: k = overload_quota(alpha, s), the least integer
+>= alpha*s, and k' = overload_quota(1/2, Delta). Both caps are one
+property: no b-subset B of a universe gives cap or more rows quota or more
+members in B. Each verifier takes rows of one size and a cap, checks them,
+and hands them to one cap check (`_cap_check`). One rule
+(`_unscanned_reason`) passes a cap without a scan: fewer rows than the cap,
+or fault sets smaller than the quota (|row ∩ B| <= |B| < quota), which
+covers empty fault sets, every s = n layout at epsilon > 0
 (b <= (alpha-epsilon)*n < alpha*s) and publish graphs of degree ceil(2s/3)
-or more. The rule needs a positive threshold, so alpha <= 0, empty rows and
-a publish degree below 1 are refused at input. Elsewhere the check
+or more. The rule needs a positive quota, so alpha <= 0, empty rows and a
+publish degree below 1 are refused at input. Elsewhere the check
 enumerates every maximal-size B (maximality suffices by monotonicity), so a
 pass is a proof. Enumeration is budgeted by (B, row) membership checks; a
 scan past the budget is refused up front, by the generators before any
@@ -30,10 +33,10 @@ of a cached suffix table, in chunks of at most _TABLE masks.
 Both objects come from one Las-Vegas loop (`_las_vegas`): sample uniformly,
 verify, resample on failure, one Random(seed) feeding the draws; the
 generators' verify mode "none" (`VERIFY_MODES`) keeps the first draw and
-marks it "unverified". Sampling is a partial Fisher-Yates shuffle, which
-matches the hypergeometric analysis behind the failure bounds. Committees
-are public, deterministic objects fixed before any execution; the adversary
-never influences generation.
+marks it "unverified". Sampling is a partial Fisher-Yates shuffle, so each
+row is a uniform subset, as the paper's hypergeometric analysis assumes.
+Committees are public, deterministic objects fixed before any execution; the
+adversary never influences generation.
 
 Before sampling committees, a counting certificate rules out points where no
 layout can exist. Each s-subset is overloaded by exactly N maximal fault sets
@@ -59,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import mask_positions, membership_matrix, rows_meeting_threshold, set_words, suffix_table
-from .params import ParamError, crusader_fault_bound
+from .params import ParamError, crusader_fault_bound, overload_quota
 
 DEFAULT_CHECK_BUDGET = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 1000
@@ -185,9 +188,9 @@ def _fault_set_chunks(width: int, size: int):
         yield rank, buf[:fill]
 
 
-def _scan(rows, universe, size: int, threshold: float, cap: int):
+def _scan(rows, universe, size: int, quota: int, cap: int):
     """First size-subset B of the sorted `universe` (lex order) that cap or more rows meet
-    in >= threshold members, else None.
+    in >= quota members, else None.
 
     Returns (witness, checks). `checks` keeps the count of an enumeration in
     blocks of _CHUNK fault sets: C(len(universe), size) * rows on a pass, and
@@ -198,7 +201,7 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     position = {p: i for i, p in enumerate(universe)}  # the verifiers refuse ids outside the universe
     member = membership_matrix([[position[p] for p in row] for row in rows], len(universe))
     for rank, chunk in _fault_set_chunks(len(universe), size):
-        counts = rows_meeting_threshold(member, chunk, threshold)
+        counts = rows_meeting_threshold(member, chunk, quota)
         bad = np.flatnonzero(counts >= cap)
         if bad.size:
             rank += int(bad[0])
@@ -207,23 +210,23 @@ def _scan(rows, universe, size: int, threshold: float, cap: int):
     return None, len(rows) * total
 
 
-def _cap_check(rows, universe, size, threshold, cap, check_budget) -> VerifyResult:
+def _cap_check(rows, universe, size, quota, cap, check_budget) -> VerifyResult:
     """Whether no size-subset B of the sorted `universe` gives cap or more `rows`
-    threshold (> 0) or more members in B, by `_unscanned_reason` or else by exhaustive scan."""
-    reason = _unscanned_reason(len(universe), size, len(rows), threshold, cap, check_budget)
+    quota (>= 1) or more members in B, by `_unscanned_reason` or else by exhaustive scan."""
+    reason = _unscanned_reason(len(universe), size, len(rows), quota, cap, check_budget)
     if reason:
         return VerifyResult(True, enumerated=False, note=reason)
-    witness, checks = _scan(rows, universe, size, threshold, cap)
+    witness, checks = _scan(rows, universe, size, quota, cap)
     return VerifyResult(witness is None, witness=witness, checks=checks)
 
 
-def _unscanned_reason(width, size, rows, threshold, cap, check_budget) -> str | None:
+def _unscanned_reason(width, size, rows, quota, cap, check_budget) -> str | None:
     """Why no size-subset B of a width-element universe can give cap or more of `rows`
-    rows threshold (> 0) or more members in B, so that the cap holds without a scan;
+    rows quota (>= 1) or more members in B, so that the cap holds without a scan;
     None if only a scan can tell, and then a scan of more than check_budget checks is refused."""
     if rows < cap:
         return "fewer rows than the cap"
-    if size < threshold:  # |row ∩ B| <= |B| < threshold
+    if size < quota:  # |row ∩ B| <= |B| < quota
         return "fault sets are smaller than the threshold"
     checks = math.comb(width, size) * rows
     if checks > check_budget:
@@ -269,15 +272,13 @@ def committee_fault_size(n: int, alpha: float, epsilon: float) -> int:
     return b
 
 
-def overloading_fault_sets(n: int, s: int, b: int, alpha: float) -> int:
-    """How many b-subsets B of [n] overload one fixed s-subset Q (|Q ∩ B| >= alpha*s).
+def overloading_fault_sets(n: int, s: int, b: int, share: float) -> int:
+    """How many b-subsets B of [n] overload one fixed s-subset Q: |Q ∩ B| >= k,
+    the quota k = overload_quota(share, s) the verifiers use.
 
-    Exact: sum over j >= j_min of C(s, j) * C(n-s, b-j), where j_min is the
-    smallest j with j >= alpha*s under the same float comparison the verifier
-    uses, so the two always agree on what "overloaded" means.
+    Exact: the sum over j >= k of C(s, j) * C(n-s, b-j).
     """
-    j_min = next((j for j in range(s + 1) if j >= alpha * s), s + 1)
-    return sum(math.comb(s, j) * math.comb(n - s, b - j) for j in range(j_min, min(s, b) + 1))
+    return sum(math.comb(s, j) * math.comb(n - s, b - j) for j in range(overload_quota(share, s), min(s, b) + 1))
 
 
 def check_committee_feasibility(n: int, q: int, s: int, alpha: float, epsilon: float, c: int) -> int:
@@ -305,9 +306,11 @@ def verify_committees(
 ) -> VerifyResult:
     """Check the bad-committee cap: every maximal B overloads fewer than c committees.
 
-    Enumerates all B with |B| = floor((alpha-epsilon)*n) where `_unscanned_reason`
-    does not pass the cap; the returned witness is the lexicographically smallest
-    violating B. The committees must be one or more rows of one size s >= 1.
+    A committee is overloaded by B when it holds overload_quota(alpha, s) or more
+    members of B. Enumerates all B with |B| = floor((alpha-epsilon)*n) where
+    `_unscanned_reason` does not pass the cap; the returned witness is the
+    lexicographically smallest violating B. The committees must be one or more
+    rows of one size s >= 1.
     """
     if c < 1:
         raise ParamError("c must be at least 1")
@@ -317,7 +320,7 @@ def verify_committees(
     sizes = {len(row) for row in committees}
     if len(sizes) != 1 or 0 in sizes:
         raise ParamError(f"committees must be one or more rows of one size >= 1, not of sizes {sorted(sizes)}")
-    return _cap_check(committees, range(n), b, alpha * sizes.pop(), c, check_budget)
+    return _cap_check(committees, range(n), b, overload_quota(alpha, sizes.pop()), c, check_budget)
 
 
 def gen_committees(
@@ -352,8 +355,8 @@ def gen_committees(
     exhaustive = _exhaustive(verify_mode)
     committee_fault_size(n, alpha, epsilon)  # alpha <= 0, epsilon > alpha and b > n are ParamErrors
     if exhaustive:
-        _unscanned_reason(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q, alpha * s, c,
-                          check_budget)
+        _unscanned_reason(n, check_committee_feasibility(n, q, s, alpha, epsilon, c), q,
+                          overload_quota(alpha, s), c, check_budget)
 
     pool = list(range(n))
     committees, attempts = _las_vegas(
@@ -372,10 +375,9 @@ def check_graph_feasibility(s: int, n: int, d: int, delta_cap: int) -> int:
     exists, else return the size of the fault sets that verification enumerates.
 
     The publish-graph twin of `check_committee_feasibility`: a receiver row of
-    delta_cap neighbours is deafened (>= delta_cap/2 of them in B) by exactly
-    N = overloading_fault_sets(s, delta_cap, b, 1/2) of the C(s, b) fault sets
-    B of size b = ceil(s/3)-1 (0.5*delta_cap equals the verifier's
-    delta_cap/2.0 exactly).
+    delta_cap neighbours is deafened (overload_quota(0.5, delta_cap) of them in B)
+    by exactly N = overloading_fault_sets(s, delta_cap, b, 0.5) of the C(s, b)
+    fault sets B of size b = ceil(s/3)-1.
     """
     b = crusader_fault_bound(s)
     per_receiver = overloading_fault_sets(s, delta_cap, b, 0.5)
@@ -392,7 +394,7 @@ def verify_publish_graph(
     check_budget: int = DEFAULT_CHECK_BUDGET,
 ) -> VerifyResult:
     """Check the mishearing cap: every B ⊂ Q of size ceil(s/3)-1 leaves fewer
-    than d receivers with >= Delta/2 neighbors in B.
+    than d receivers with overload_quota(0.5, Delta) or more neighbors in B.
 
     Enumerates those B where `_unscanned_reason` does not pass the cap. A degree
     (delta_cap) below 1 and adjacency rows of unequal size are ParamErrors.
@@ -407,7 +409,7 @@ def verify_publish_graph(
     if any(len(row) != graph.delta_cap for row in graph.adjacency):
         raise ParamError("publish-graph adjacency rows must all have one size, the degree")
     return _cap_check(graph.adjacency, sorted(committee), crusader_fault_bound(len(committee)),
-                      graph.delta_cap / 2.0, d, check_budget)
+                      overload_quota(0.5, graph.delta_cap), d, check_budget)
 
 
 def gen_publish_graph(
@@ -440,7 +442,8 @@ def gen_publish_graph(
         raise ParamError("d must be at least 1")
     exhaustive = _exhaustive(verify_mode)
     if exhaustive:
-        _unscanned_reason(s, check_graph_feasibility(s, n, d, delta_cap), n, delta_cap / 2.0, d, check_budget)
+        _unscanned_reason(s, check_graph_feasibility(s, n, d, delta_cap), n, overload_quota(0.5, delta_cap), d,
+                          check_budget)
     members = sorted(committee)
     tag = "exhaustive" if exhaustive else "unverified"
     graph, _ = _las_vegas(
@@ -450,43 +453,6 @@ def gen_publish_graph(
         (lambda graph: verify_publish_graph(graph, tuple(members), d, check_budget=check_budget))
         if exhaustive else None)
     return graph
-
-
-# --- failure bounds ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FailureBound:
-    bound: float
-    log2_bound: float | None
-    note: str = ""
-
-
-def generation_failure_bound(kind: str, **kw) -> FailureBound:
-    """Union-bound probability that one uniform sample fails verification.
-
-    kind "publish_graph" expects s, d, n:   C(s, ceil(s/3)-1) * n^d * 2^(-s - d*log2 n)
-    kind "committee_list" expects n, q, c, alpha, epsilon:
-                                            C(n, floor((a-e)n)) * q^c * 2^(-n - c*log2 q)
-    Evaluated in log space. Vacuous cases report a zero bound.
-    """
-    if kind == "publish_graph":
-        s, d, n = kw["s"], kw["d"], kw["n"]
-        if d > n:
-            return FailureBound(0.0, None, "event impossible: d exceeds receiver count")
-        b = crusader_fault_bound(s)
-        if b <= 0:
-            return FailureBound(0.0, None, "event impossible: empty fault set")
-        log2 = math.log2(math.comb(s, b)) + d * math.log2(n) - s - d * math.log2(n)
-    elif kind == "committee_list":
-        n, q, c = kw["n"], kw["q"], kw["c"]
-        b = committee_fault_size(n, kw["alpha"], kw["epsilon"])
-        if b <= 0:
-            return FailureBound(0.0, None, "event impossible: empty fault set")
-        log2 = math.log2(math.comb(n, b)) + c * math.log2(q) - n - c * math.log2(q)
-    else:
-        raise ParamError(f"unknown failure-bound kind {kind!r}")
-    return FailureBound(2.0**log2, log2)
 
 
 # --- serialization ----------------------------------------------------------

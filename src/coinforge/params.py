@@ -101,6 +101,13 @@ def crusader_fault_bound(s: int) -> int:
     return math.ceil(s / 3) - 1
 
 
+def overload_quota(share: float, size: int) -> int:
+    """ceil(share*size), the least integer j >= share*size: the one overload rule. A
+    committee of size s is bad once overload_quota(alpha, s) members are corrupted, and a
+    receiver of degree Delta is deafened once overload_quota(0.5, Delta) neighbours are faulty."""
+    return math.ceil(share * size)
+
+
 def publish_degree(s: int, d: int, n: int) -> int:
     """Receiver degree Delta for a committee of size s at fault budget d."""
     if s < 1 or d < 1 or n < 1:

@@ -48,7 +48,7 @@ import math
 import random
 
 from .combinatorics import CommitteeLayout, PublishGraph
-from .params import CoinParams, DerivedParams, ParamError, crusader_fault_bound
+from .params import CoinParams, DerivedParams, ParamError, crusader_fault_bound, overload_quota
 from .simnet import BOT, CoinSpec, K_COIN, K_CRUS_AUX, K_CRUS_RELAY, K_CRUS_VAL, K_MAJ, K_PUB
 
 
@@ -354,7 +354,7 @@ class TransformProtocol:
 
         self.n = layout.n
         self.q = dp.q
-        self.alpha = cp.alpha
+        self.bad_quota = overload_quota(cp.alpha, dp.s)  # corrupted members that make a committee bad
         self.live_threshold = dp.live_threshold
         self.output_threshold = dp.output_threshold
         self.t_local = crusader_fault_bound(dp.s)
@@ -365,7 +365,7 @@ class TransformProtocol:
         self.publish = [PublishProtocol(c, self.n, g, None) for c, g in zip(layout.committees, graphs)]
         instances = [(e * self.q + j, p.committee) for e in range(ell) for j, p in enumerate(self.publish)]
         if coin_mode == "ideal":
-            self.coin_specs = [CoinSpec(inst, members, cp.delta, cp.R, cp.alpha * len(members))
+            self.coin_specs = [CoinSpec(inst, members, cp.delta, cp.R, self.bad_quota)
                                for inst, members in instances]
             self.benor_instances = []
         else:

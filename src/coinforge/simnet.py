@@ -20,14 +20,19 @@ party. That binds a strategy only through the view; `delay_for` and
 and no built-in reads one in secure mode. A full-information toggle exists
 for demonstrations of payload-reading attacks.
 Self-addressed messages deliver at the send instant with zero delay and count
-in message totals.
+in message totals; a strategy may re-time an honest one within the same
+deadline, and that delay then counts toward the normalizing maximum.
 
 The adversary (a `strategies` plug-in) sees the run only through its
 AdversaryView and acts only through AdversaryActions, each checked against
-the rules above before it takes effect: an id must name something that
-exists and a time must be finite. An envelope is pending while its id is in
-`_sched`, the one record of what may still be dropped or re-timed. A coin's
-fairness verdict is fixed at its first honest output, or at report time.
+the rules above before it takes effect: an id, in an action or a view
+lookup, must name something that exists; a time, delay_for's answer
+included, must be a finite number; and no delivery or coin output is
+scheduled before now. An envelope is pending while its id is in `_sched`,
+the one record of what may still be dropped or re-timed. A coin is fair
+until its corrupted members reach the instance's overload quota
+(`CoinSpec.bad_threshold`); the verdict is fixed at its first honest
+output, or at report time.
 """
 
 from __future__ import annotations
@@ -150,7 +155,7 @@ class CoinSpec:
     members: tuple[int, ...]
     delta: float
     R: float
-    bad_threshold: float  # corrupted members >= this voids the fairness contract
+    bad_threshold: int  # corrupted members >= this quota (`params.overload_quota`) void the fairness contract
 
 
 class CoinInstance:
@@ -216,7 +221,9 @@ class AdversaryView:
         return [sim.envelopes[eid] for eid in sorted(sim._sched)]
 
     def envelope(self, eid):
-        return self._sim.envelopes[eid]
+        envelopes = self._sim.envelopes
+        _check_id("envelope", eid, len(envelopes))
+        return envelopes[eid]
 
     def can_read(self, env) -> bool:
         if self._sim.mode == "full_info":
@@ -230,7 +237,9 @@ class AdversaryView:
 
     def coin_truth(self, inst_index):
         # revealed at activation; a deliberately permissive (conservative) reading
-        ci = self._sim.coin_instances[inst_index]
+        instances = self._sim.coin_instances
+        _check_id("coin instance", inst_index, len(instances))
+        ci = instances[inst_index]
         return ci.g_drawn, ci.b_star
 
 
@@ -331,7 +340,7 @@ class Simulation:
             0,             # OPAQUE: size must be declared at injection
         )
         self._kind_bucket = tuple(_bucket_of(kind, size) for kind, size in enumerate(self._kind_size))
-        # largest cross-party delay delivered per sender while it was honest
+        # largest delay delivered per sender while it was honest
         self._sender_max_delay = [0.0] * self.n
 
         self._trial_ctx = protocol.setup_trial(random.Random(mix64(seed, 1)))
@@ -391,6 +400,8 @@ class Simulation:
                     delay = delay_for(env)
                     if delay is None:
                         delay = deadline
+                    elif type(delay) is not float:  # a float needs only the range check
+                        _check_time("delay", delay)
                     if not (0.0 < delay <= deadline):
                         raise StrategyViolation(f"delay {delay} outside (0, {DEADLINE}]")
                     t = now + delay
@@ -436,9 +447,11 @@ class Simulation:
             _check_time("delivery time", t)
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
-            if env.sender not in self.corrupted and env.recipient != env.sender:
-                if not (env.sent_at < t <= env.sent_at + DEADLINE):
-                    raise StrategyViolation("honest-sender delivery must land in (sent, sent+1]")
+            if env.sender not in self.corrupted:
+                sent = env.sent_at
+                if not (sent < t <= sent + DEADLINE or (t == sent and env.recipient == env.sender)):
+                    raise StrategyViolation("honest-sender delivery must land in (sent, sent+1], "
+                                            "a self-delivery also at sent")
             self._sched[env.id] = t
             self._push(t, 0, env.id)
         elif kind == "inject":
@@ -484,6 +497,8 @@ class Simulation:
                 _check_time("coin output time", act.time)
                 if not (0.0 < act.time <= ci.spec.R):
                     raise StrategyViolation("coin output time outside (0, R]")
+                if act.time < self.now:
+                    raise StrategyViolation("cannot schedule into the past")
                 if member in ci.output_times:
                     raise StrategyViolation("coin output already delivered")
                 ci.offsets[member] = act.time
@@ -545,7 +560,7 @@ class Simulation:
                 if log is not None:
                     log.append({"time": t, "kind": "deliver", "envelope_id": arg, "detail": ""})
                 rec, sender = env.recipient, env.sender
-                if rec != sender and sender not in corrupted:
+                if sender not in corrupted:  # a self-delivery re-timed past its send instant counts too
                     delay = t - env.sent_at
                     if delay > sender_max_delay[sender]:
                         sender_max_delay[sender] = delay

@@ -32,10 +32,11 @@ Built-ins (all deterministic given their bound seed):
   fifo               every delivery at the deadline, order = send order.
   random_delay       seeded delays on a dyadic 1/256 grid (exact in binary64,
                      so uniformly rescaling by powers of two is lossless).
-  committee_targeter corrupts ceil(alpha*s) members of each named committee,
-                     lowest ids first, dropping their in-flight messages;
-                     overdrawing the corruption budget faults the strategy,
-                     and so does a protocol without a committee layout.
+  committee_targeter corrupts the protocol's bad_quota (the least integer
+                     >= alpha*s) members of each named committee, lowest ids
+                     first, dropping their in-flight messages; overdrawing
+                     the corruption budget faults the strategy, and so does
+                     a protocol without a committee layout.
   publish_delayer    holds publish fan-out messages toward a receiver fraction
                      at the deadline, everything else travels faster.
   benor_biaser       full-information attack on the majority-bit coin: corrupt
@@ -129,7 +130,8 @@ class RandomDelayStrategy(Strategy):
 class CommitteeTargeterStrategy(PlannedStrategy):
     """Corrupt enough members of each named committee to make it bad.
 
-    Quota per committee is ceil(alpha*s); already-corrupted members count
+    Quota per committee is the protocol's `bad_quota`, the least integer >=
+    alpha*s, at which its coin turns unfair; already-corrupted members count
     toward it. Corruption happens at the first adversary phase (time 0) and
     the victims' undelivered messages are dropped. A target list whose quotas
     exceed the budget faults at the first overdrawing corruption.
@@ -154,13 +156,11 @@ class CommitteeTargeterStrategy(PlannedStrategy):
 
     def plan(self, view):
         proto = view.protocol
-        layout = proto.layout
-        alpha = proto.alpha
+        quota = proto.bad_quota
         chosen = set(view.corrupted)
         actions = []
         for j in self.targets:
-            committee = sorted(layout.committees[j])
-            quota = math.ceil(alpha * len(committee))
+            committee = sorted(proto.layout.committees[j])
             have = sum(1 for m in committee if m in chosen)
             for m in committee:
                 if have >= quota:

@@ -19,7 +19,6 @@ from coinforge.combinatorics import (
     dumps_layout,
     gen_committees,
     gen_publish_graph,
-    generation_failure_bound,
     layout_document,
     layout_from_document,
     loads_layout,
@@ -293,34 +292,6 @@ def test_publish_graph_trivial_branches():
     g = gen_publish_graph(committee, 4, 1, 6, seed=1, verify_mode="none")
     res = verify_publish_graph(g, committee, 5)  # d > n
     assert res.passed and not res.enumerated and "fewer rows" in res.note
-
-
-def test_failure_bounds():
-    fb = generation_failure_bound("committee_list", n=30, q=9, c=3, alpha=1 / 3, epsilon=1 / 12)
-    assert 0 < fb.bound < 1
-    assert fb.bound == pytest.approx(math.comb(30, 7) / 2**30)
-    empty = generation_failure_bound("committee_list", n=3, q=9, c=3, alpha=1 / 3, epsilon=1 / 12)
-    assert empty.bound == 0.0 and "impossible" in empty.note
-    vac = generation_failure_bound("publish_graph", s=9, d=20, n=16)
-    assert vac.bound == 0.0
-    small = generation_failure_bound("publish_graph", s=9, d=2, n=16)
-    assert small.bound == pytest.approx(math.comb(9, 2) / 2**9)
-    with pytest.raises(ParamError):
-        generation_failure_bound("mystery", n=1)
-
-
-def test_resample_count_consistent_with_failure_bound():
-    # Parameters inside the regime where the union bound is valid (s at its
-    # own formula's size): the bound is ~4e-11, so 100 runs should never resample.
-    n, q, c, alpha, epsilon = 40, 9, 8, 1 / 3, 0.3
-    s = min(n, math.ceil(((2 * alpha - epsilon) / epsilon**2) * (n * math.log(2) / c + math.log(q))))
-    fb = generation_failure_bound("committee_list", n=n, q=q, c=c, alpha=alpha, epsilon=epsilon)
-    assert fb.bound < 1e-6
-    resamples = 0
-    for seed in range(100):
-        layout = gen_committees(n, q, s, alpha, epsilon, c, seed=seed)
-        resamples += layout.attempts - 1
-    assert resamples <= fb.bound / (1 - fb.bound) * 100 + 2  # slack of 2
 
 
 def test_layout_document_roundtrip_is_byte_exact():

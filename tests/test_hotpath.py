@@ -58,12 +58,14 @@ def _scenarios():
 
 
 def _digests(protocol, make_strategy, kw):
-    """sha256 over report_json and the event log of every seed in SEEDS."""
+    """sha256 over report_json and the event log of every seed in SEEDS, whose times never decrease."""
     reports, logs = hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
         log = []
         rep = Simulation(protocol, make_strategy(), mix64(seed, 1000), log=log, **kw).run()
         assert report_json(run_simulation(protocol, make_strategy(), mix64(seed, 1000), **kw)) == report_json(rep)
+        times = [rec["time"] for rec in log]
+        assert times == sorted(times)  # the clock never moves backwards
         reports.update(report_json(rep).encode())
         logs.update(dump_event_log(log).encode())
     return reports.hexdigest(), logs.hexdigest()

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -12,6 +13,7 @@ from coinforge.params import (
     Poly,
     POLY_LOG,
     derive_params,
+    overload_quota,
     preset_cost,
     publish_degree,
     transform_cost,
@@ -121,6 +123,35 @@ def test_s_monotone_in_z(n, z, bump):
     base = CoinParams(n=n, z=z, epsilon=0.05, alpha=1 / 3)
     more = CoinParams(n=n, z=z + bump, epsilon=0.05, alpha=1 / 3)
     assert derive_params(more).s <= derive_params(base).s
+
+
+# --- the overload rule ----------------------------------------------------------
+
+
+def _least_meeting(share, size):
+    """Brute force: the least integer j with j >= share*size."""
+    return next(j for j in itertools.count() if j >= share * size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    share=st.one_of(st.sampled_from([1 / 3, 0.3333, 0.5]), st.floats(0.0, 1.0, allow_nan=False),
+                    st.integers(0, 64).map(lambda j: j / 64)),
+    size=st.integers(0, 64),
+)
+def test_overload_quota_is_the_least_integer_meeting_the_share(share, size):
+    got = overload_quota(share, size)
+    assert type(got) is int and got == _least_meeting(share, size)
+
+
+def test_overload_quota_at_the_paper_shares_and_exact_products():
+    for size in range(65):
+        for share in (1 / 3, 0.3333, 0.5):
+            assert overload_quota(share, size) == _least_meeting(share, size), (share, size)
+    for m in range(22):  # share*size is an exact integer: the quota is that integer, not one more
+        assert overload_quota(1 / 3, 3 * m) == m
+        assert overload_quota(0.5, 2 * m) == m
+    assert overload_quota(1 / 3, 4) == 2 and overload_quota(0.3333, 3) == 1 and overload_quota(0.5, 7) == 4
 
 
 # --- cost accounting ---------------------------------------------------------

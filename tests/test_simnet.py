@@ -4,6 +4,7 @@ import pytest
 
 from byz import ScriptedByzantine
 from conftest import small_transform
+from coinforge.config import build_strategy, parse_strategy_spec
 from coinforge.protocols import CrusaderProtocol
 from coinforge.simnet import (
     AdversaryAction,
@@ -331,6 +332,23 @@ VIOLATIONS = {
                           "time nan is not a finite number"),
     "coin-offset-nan": (CoinPingProtocol, 0, lambda: Script(offsets={0: math.nan}),
                         "offset nan is not a finite number"),
+    "coin-set-into-past": (CoinPingProtocol, 0,  # members 0 and 1 output at 0.75
+                           lambda: Script(once(lambda v: v.now >= 0.75, A.coin_set(0, 2, 0.5)),
+                                          offsets={0: 0.75, 1: 0.75}),
+                           "into the past"),
+    "self-delivery-past-deadline": (PingProtocol, 0, lambda: Script(now(A.delay(0, 1e6))),
+                                    r"\(sent, sent\+1\], a self-delivery also at sent"),
+    "delay-str": (PingProtocol, 0, lambda: Script(delay="0.5"), "delay '0.5' is not a finite number"),
+    "delay-bool": (PingProtocol, 0, lambda: Script(delay=True), "delay True is not a finite number"),
+    # the view's lookups check their ids as actions do
+    "view-envelope-negative": (PingProtocol, 0, lambda: Script(lambda v: v.envelope(-1)),
+                               "envelope -1 is not an id"),
+    "view-envelope-past-end": (PingProtocol, 0, lambda: Script(lambda v: v.envelope(4)),
+                               r"envelope 4 is not an id in \[0, 4\)"),
+    "view-coin-truth-negative": (CoinPingProtocol, 0, lambda: Script(lambda v: v.coin_truth(-1)),
+                                 "coin instance -1 is not an id"),
+    "view-coin-truth-past-end": (CoinPingProtocol, 0, lambda: Script(lambda v: v.coin_truth(1)),
+                                 r"coin instance 1 is not an id in \[0, 1\)"),
 }
 
 
@@ -339,6 +357,21 @@ def test_every_model_rule_faults_the_strategy(name):
     protocol, t_budget, strategy, match = VIOLATIONS[name]
     with pytest.raises(StrategyViolation, match=match):
         run_simulation(protocol(), strategy(), seed=1, t_budget=t_budget)
+
+
+def test_re_timing_to_now_and_integer_delays_are_legal():
+    # an honest self-delivery re-timed to its send instant, and a coin output re-timed to now
+    log = []
+    steps = (now(A.delay(0, 0.0)), once(lambda v: v.now >= 0.5, A.coin_set(0, 2, 0.5)))
+    rep = run_simulation(CoinPingProtocol(), Script(*steps, offsets={0: 0.5}, delay=1), seed=1, log=log)
+    assert rep.output_times == [0.0, 1.0, 1.0, 1.0]
+    assert [(rec["party"], rec["time"]) for rec in log if rec["kind"] == "coin"] == [(0, 0.5), (2, 0.5), (1, 1.0)]
+
+
+def test_a_delayed_self_delivery_counts_toward_max_delay():
+    rep = run_simulation(PingProtocol(), Script(now(A.delay(0, 0.25)), delay=0.125), seed=1)
+    assert rep.output_times == [0.25, 0.125, 0.125, 0.125]
+    assert rep.max_delay == 0.25 and rep.latency == 1.0
 
 
 def _coin_outputs(protocol, strategy):
@@ -371,6 +404,22 @@ def test_coin_set_does_not_fix_the_fairness_verdict(steps):
     # so a coin_set among them must not fix the verdict while only one member is corrupted
     rep = run_simulation(CoinPingProtocol(bad_threshold=2.0), Script(*map(now, steps)), seed=1, t_budget=2)
     assert [rec["fair"] for rec in rep.coin_truth] == [False]
+
+
+def test_a_committee_coin_turns_unfair_exactly_at_the_overload_quota():
+    _, _, layout, _, proto = small_transform()
+    assert proto.bad_quota == 2  # ceil(s/3) at s = 4
+    committee = layout.committees[0]
+
+    def committee_0_fair(strategy, t_budget):
+        rep = run_simulation(proto, strategy, seed=1, t_budget=t_budget)
+        return rep, next(rec["fair"] for rec in rep.coin_truth if rec["instance"] == 0)
+
+    for k in (1, 2):  # quota - 1 and quota members, corrupted at time 0
+        _, fair = committee_0_fair(Script(*[now(A.corrupt(m)) for m in committee[:k]]), k)
+        assert fair is (k < proto.bad_quota)
+    rep, fair = committee_0_fair(build_strategy(parse_strategy_spec("committee_targeter:0")), 4)
+    assert [p for p, _ in rep.corruptions] == list(committee[:proto.bad_quota]) and fair is False
 
 
 class CoinDecideProtocol(PingProtocol):
