@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -127,9 +126,6 @@ class FairnessEstimate:
         d["interval"] = list(self.interval)
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
-
     def to_table(self) -> str:
         rows = [
             ("trials", self.trials),
@@ -224,9 +220,6 @@ class AuditResult:
     passed: bool
     failed_term: str | None = None
     detail: str = ""
-
-    def __bool__(self):
-        return self.passed
 
 
 def message_caps(dp: DerivedParams, n: int) -> dict:

@@ -223,9 +223,17 @@ def cmd_run_publish(args):
 def cmd_estimate_fairness(args):
     cfg = _config_from_args(args)
     proto, dp = build_protocol(cfg)
+    # b* is the majority of the committee coins' fair bits: a run without a coin has none,
+    # and an ell-bit output is no single bit to compare with it
+    kind = cfg.protocol.get("kind", "transform")
+    if kind in ("crusader", "publish"):
+        raise ParamError(f"estimate-fairness needs a committee coin, and a {kind} run has none to define b*")
+    if getattr(proto, "ell", 1) > 1:
+        raise ParamError(f"estimate-fairness compares one output bit with b*, "
+                         f"so it needs ell = 1, not {proto.ell}")
     q = dp.q if dp is not None else 1
     est = analysis.estimate_fairness(_trials(cfg, proto), delta=cfg.delta, z=cfg.z, q=q,
-                                     confidence=cfg.confidence, label=cfg.protocol.get("kind", "transform"),
+                                     confidence=cfg.confidence, label=kind,
                                      seed=cfg.seed)
     _write_out(cfg.out, _envelope(cfg.to_dict(), cfg.seed, est.as_dict()))
     if args.csv:
@@ -261,6 +269,8 @@ def _poly(flag, text) -> Poly:
 
 def cmd_cost_report(args):
     cfg = _config_from_args(args)
+    if args.variant and (args.M is not None or args.L is not None):
+        raise ParamError(f"--variant {args.variant} sets its own M and L, so it takes no --M or --L")
     if args.variant:
         report = preset_cost(args.variant, cfg.n, cfg.epsilon, args.delta_prime, args.kappa)
     else:

@@ -31,11 +31,13 @@ Non-members output b once more than Delta/2 distinct neighbors sent b or bot
 (a simultaneous double-threshold resolves deterministically to 0).
 
 Transformation: party i runs the committee coin in every committee containing
-i, feeds the coin output into that committee's publish instance (every
-publish graph must have the derived degree delta_cap), tallies
-publish outputs v_b, broadcasts the majority bit exactly when v0+v1 hits the
-live threshold, tallies first-bit-per-sender w_b, and outputs the majority
-exactly when w0+w1 hits floor(2n/3)+1 (ties resolve to 0 in both places).
+i and feeds the coin output into that committee's publish instance (every
+publish graph must have the derived degree delta_cap). Each toss then takes
+two majority votes, ties going to 0 in both:
+  1. the live vote counts one publish output per committee; when the count
+     reaches the live threshold, the party broadcasts the majority as MAJ, once;
+  2. the output vote counts the first MAJ bit from each sender; when the count
+     reaches floor(2n/3)+1, the majority is the toss bit.
 An ell-bit toss is ell parallel runs of this: toss e uses coin, crusader and
 publish instances e*q .. e*q+q-1 and MAJ instance e, and a party outputs once
 every toss has its bit, the bits concatenated with toss 0 highest (at ell = 1,
@@ -226,12 +228,17 @@ class BenorSM:
 
 class TransformParty:
     """One party in all ell tosses. Roles are keyed by global instance id
-    e*q + j: its publish role in `pub`, its majority-bit coin in `benor`. Toss
-    e keeps its publish tally v and MAJ tally w as counts of zeros at 2e and
-    ones at 2e+1, and its bit in bits[e]; `seen_maj` holds sender*ell + e for
-    each MAJ sender counted in toss e."""
+    e*q + j: its publish role in `pub`, its majority-bit coin in `benor`.
+    Toss e runs two majority votes, each a tally [zeros, ones] whose ties go to 0:
+      - v[e] counts each of the toss's q publish instances once, when its
+        role's output first becomes non-None; when v[e] reaches the live
+        threshold, the party broadcasts MAJ(e) with the majority bit, once;
+      - w[e] counts the first MAJ(e) bit of each sender (maj_from[e] holds
+        the senders counted); when w[e] reaches floor(2n/3)+1, the majority
+        is the toss bit bits[e], and later MAJ(e) change nothing.
+    The output is set when the last toss gets its bit."""
 
-    __slots__ = ("proto", "pub", "benor", "v", "w", "seen_maj", "seen_pub", "bits", "output")
+    __slots__ = ("proto", "pub", "benor", "v", "w", "maj_from", "bits", "output")
 
     def __init__(self, pid, proto, ctx):
         self.proto = proto
@@ -243,10 +250,9 @@ class TransformParty:
             self.pub[inst] = publish.role(pid, inst)
             if proto.coin_mode == "benor" and pid in publish.member_set:
                 self.benor[inst] = BenorSM(publish.committee, proto.t_local, inst, ctx[(inst, pid)])
-        self.v = [0, 0] * ell
-        self.w = [0, 0] * ell
-        self.seen_maj = set()
-        self.seen_pub = set()
+        self.v = [[0, 0] for _ in range(ell)]
+        self.w = [[0, 0] for _ in range(ell)]
+        self.maj_from = [set() for _ in range(ell)]
         self.bits = [None] * ell
         self.output = None
 
@@ -258,36 +264,23 @@ class TransformParty:
         # taken from a later crusader message, never here
         return self.pub[inst].set_input(bit)
 
-    def _pub_output(self, inst, b):
-        # each instance counts once, so a toss's tally meets the live threshold once: one MAJ send
-        self.seen_pub.add(inst)
-        proto = self.proto
-        e = inst // proto.q
-        v, i = self.v, 2 * e
-        v[i + (b != 0)] += 1
-        if v[i] + v[i + 1] == proto.live_threshold:
-            bmaj = 0 if v[i] >= v[i + 1] else 1
-            return [(proto.all_parties, e, K_MAJ, bmaj)]
-        return []
-
     def on_message(self, env):
         kind, inst = env.kind, env.inst
         if kind == K_MAJ:
-            # MAJ instance = toss; once a toss has its bit, no later MAJ of it can change anything
-            bits = self.bits
-            if 0 <= inst < len(bits) and bits[inst] is None and env.payload in (0, 1):
-                key = env.sender * len(bits) + inst
-                if key not in self.seen_maj:
-                    self.seen_maj.add(key)
-                    w, i = self.w, 2 * inst
-                    w[i + (env.payload != 0)] += 1
-                    if w[i] + w[i + 1] == self.proto.output_threshold:
-                        bits[inst] = 0 if w[i] >= w[i + 1] else 1
-                        if None not in bits:  # the last bit completes the value, toss 0 highest
-                            value = 0
-                            for b in bits:
-                                value = (value << 1) | b
-                            self.output = value
+            # MAJ instance = toss
+            bits, sender, b = self.bits, env.sender, env.payload
+            if (0 <= inst < len(bits) and bits[inst] is None and b in (0, 1)
+                    and sender not in self.maj_from[inst]):
+                self.maj_from[inst].add(sender)
+                w = self.w[inst]
+                w[b != 0] += 1  # an injected 1.0 or True counts as 1, as it passed `in (0, 1)`
+                if w[0] + w[1] == self.proto.output_threshold:
+                    bits[inst] = 0 if w[0] >= w[1] else 1
+                    if None not in bits:  # toss 0 highest
+                        value = 0
+                        for bit in bits:
+                            value = (value << 1) | bit
+                        self.output = value
             return []
         if kind == K_COIN:
             sm = self.benor.get(inst)
@@ -300,9 +293,15 @@ class TransformParty:
         sm = self.pub.get(inst)
         if sm is None:
             return []
+        counted = sm.output is not None
         msgs = sm.on_message(env)
-        if sm.output is not None and inst not in self.seen_pub:
-            return msgs + self._pub_output(inst, sm.output)
+        if not counted and sm.output is not None:
+            proto = self.proto
+            e = inst // proto.q
+            v = self.v[e]
+            v[sm.output] += 1
+            if v[0] + v[1] == proto.live_threshold:
+                return msgs + [(proto.all_parties, e, K_MAJ, 0 if v[0] >= v[1] else 1)]
         return msgs
 
     @property
@@ -323,7 +322,23 @@ def check_layout_matches(n: int, dp: DerivedParams, layout: CommitteeLayout, gra
                          f"and publish graph degree delta_cap={dp.delta_cap}")
 
 
-class TransformProtocol:
+class MajorityBitCoins:
+    """Setup and ground truth of the majority-bit coins (`BenorSM`) a protocol's
+    parties run: `benor_instances` lists them as (inst, members), none over
+    oracle coins, and `t_local` is the fault bound inside each."""
+
+    def setup_trial(self, rng: random.Random) -> dict:
+        """Each member's generated bit per (inst, member), drawn in list order, then member order."""
+        return {(inst, m): rng.getrandbits(1) for inst, members in self.benor_instances for m in members}
+
+    def benor_truth(self, ctx, corrupted) -> list:
+        """(inst, fair, b*) of each instance from its honest members' generated bits."""
+        return [(inst, *benor_ground_truth([ctx[(inst, m)] for m in members if m not in corrupted],
+                                           len(members), self.t_local))
+                for inst, members in self.benor_instances]
+
+
+class TransformProtocol(MajorityBitCoins):
     """Factory for ell parallel tosses of the transformed coin over a fixed
     committee layout (instance layout in the module docstring). For a
     delta-fair ell-bit value each toss needs per-bit fairness
@@ -371,13 +386,6 @@ class TransformProtocol:
         else:
             self.benor_instances = instances
 
-    def setup_trial(self, rng: random.Random):
-        """Benor-mode members' generated bits; empty with ideal coins."""
-        return draw_member_bits(rng, self.benor_instances)
-
-    def benor_truth(self, ctx, corrupted):
-        return benor_instance_truth(self.benor_instances, self.t_local, ctx, corrupted)
-
     def make_party(self, pid, ctx):
         return TransformParty(pid, self, ctx)
 
@@ -407,19 +415,6 @@ def benor_ground_truth(honest_bits, s: int, t_local: int):
     if zeros >= need:
         return True, 0
     return False, None
-
-
-def draw_member_bits(rng: random.Random, instances) -> dict:
-    """Each member's generated bit per (inst, member) of the majority-bit
-    instances [(inst, members), ...], drawn in list order, then member order."""
-    return {(inst, m): rng.getrandbits(1) for inst, members in instances for m in members}
-
-
-def benor_instance_truth(instances, t_local: int, ctx: dict, corrupted) -> list:
-    """(inst, fair, b*) of each majority-bit instance from its honest members' generated bits."""
-    return [(inst, *benor_ground_truth([ctx[(inst, m)] for m in members if m not in corrupted],
-                                       len(members), t_local))
-            for inst, members in instances]
 
 
 # --- standalone factories ----------------------------------------------------
@@ -476,7 +471,7 @@ class PublishProtocol:
         return self.role(pid, 0, ctx[pid] if pid in self.member_set else None)
 
 
-class BenorCoinProtocol:
+class BenorCoinProtocol(MajorityBitCoins):
     """Standalone majority-bit committee coin among s parties."""
 
     def __init__(self, s: int, t_local: int):
@@ -484,12 +479,6 @@ class BenorCoinProtocol:
         self.t_local = t_local
         self.members = tuple(range(s))
         self.benor_instances = [(0, self.members)]
-
-    def setup_trial(self, rng):
-        return draw_member_bits(rng, self.benor_instances)
-
-    def benor_truth(self, ctx, corrupted):
-        return benor_instance_truth(self.benor_instances, self.t_local, ctx, corrupted)
 
     def make_party(self, pid, ctx):
         return BenorSM(self.members, self.t_local, 0, ctx[(0, pid)])

@@ -189,7 +189,7 @@ def crusader_runs():
             stats["latency"] += 1
         if sum(rep.msg_count_by_kind.values()) > cap:
             stats["messages"] += 1
-        if not audit_transcript(rep, dp, n=s, R=1.0):
+        if not audit_transcript(rep, dp, n=s, R=1.0).passed:
             stats["audit"] += 1
 
     rng = random.Random(0x5EED)
@@ -258,7 +258,7 @@ def publish_runs():
         stats["common_trials"] += 1
         if missed >= d:
             stats["missed_cap"] += 1
-        if not audit_transcript(rep, dp, n=n, R=1.0):
+        if not audit_transcript(rep, dp, n=n, R=1.0).passed:
             stats["audit"] += 1
 
     split_inputs = lambda trial_rng: {m: trial_rng.getrandbits(1) for m in committee}
@@ -273,7 +273,7 @@ def publish_runs():
         stats["split_trials"] += 1
         if not all(rep.outputs[p] is not None for p in range(n) if p not in corrupted):
             stats["split_liveness"] += 1
-        if not audit_transcript(rep, dp, n=n, R=1.0):
+        if not audit_transcript(rep, dp, n=n, R=1.0).passed:
             stats["audit"] += 1
     return stats
 
@@ -306,7 +306,7 @@ def transform_honest_runs():
             stats["bit_ones"] += rep.output_bit
         if rep.latency > cp.R + 5.0 + 1e-9:
             stats["late"] += 1
-        if not audit_transcript(rep, dp, n=cp.n, R=cp.R):
+        if not audit_transcript(rep, dp, n=cp.n, R=cp.R).passed:
             stats["audit"] += 1
         if sum(rep.msg_count_by_kind.values()) > total_cap:
             stats["msg_total_over"] += 1
@@ -369,7 +369,7 @@ def transform_adversarial_runs():
             stats["agreed"] += 1
         if not rep.all_honest_output:
             stats["liveness"] += 1
-        if not audit_transcript(rep, dp, n=cp.n, R=cp.R):
+        if not audit_transcript(rep, dp, n=cp.n, R=cp.R).passed:
             stats["audit"] += 1
     return stats
 

@@ -110,7 +110,7 @@ def test_estimate_reproducible_and_interval_shrinks():
 def test_estimate_exports():
     estimate, *_ = _scenario()
     est = estimate(20)
-    doc = json.loads(est.to_json())
+    doc = json.loads(json.dumps(est.as_dict()))
     assert doc["trials"] == 20
     table = est.to_table()
     assert "wilson" in table and "target" in table

@@ -211,6 +211,28 @@ def test_estimate_fairness_command(tmp_path, capsys):
     assert open(csv_path).read().startswith("trial,seed,agreed")
 
 
+@pytest.mark.parametrize("protocol", [
+    {"kind": "crusader", "s": 4},
+    {"kind": "publish", "committee": 0},
+    {"kind": "multivalued", "ell": 3},
+], ids=["crusader", "publish", "three-bit-toss"])
+def test_estimate_fairness_without_one_coin_bit_is_refused_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                                           protocol):
+    from coinforge import analysis
+
+    layout = _gen_layout(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"protocol": protocol}))
+    drawn = []
+    monkeypatch.setattr(analysis, "run_simulation", lambda *args, **kw: drawn.append(args))
+    capsys.readouterr()
+    assert run_cli("estimate-fairness", "--config", str(path), "--layout", layout, *_COIN_FLAGS,
+                   "--trials", "5", "--out", str(tmp_path / "est.json")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: estimate-fairness") and err.count("\n") == 1
+    assert drawn == [] and not (tmp_path / "est.json").exists()
+
+
 def test_verify_command_pass_and_fail(tmp_path):
     layout = _gen_layout(tmp_path)
     rc = run_cli("verify", "--layout", layout, "--n", "8", "--override-q", "5",
@@ -246,7 +268,12 @@ def test_cost_report_variants(capsys):
     (["cost-report", "--n", "8", "--M", "[[1,2]]"], "--M must be"),
     (["cost-report", "--n", "8", "--M", '{"a": 1}'], "--M must be"),
     (["cost-report", "--n", "8", "--L", "[[8,0,-1]]"], "--L must be"),
-], ids=["lemma4-n-max-0", "cost-term-of-two", "cost-terms-a-mapping", "cost-negative-logpow"])
+    (["cost-report", "--variant", "perfect", "--n", "1000000", "--epsilon", "0.01", "--M", "[[1,9,0]]"],
+     "takes no --M or --L"),
+    (["cost-report", "--variant", "crypto", "--n", "1000000", "--epsilon", "0.01", "--L", "[[8,0,0]]"],
+     "takes no --M or --L"),
+], ids=["lemma4-n-max-0", "cost-term-of-two", "cost-terms-a-mapping", "cost-negative-logpow",
+        "cost-variant-with-M", "cost-variant-with-L"])
 def test_bad_lemma4_and_cost_arguments_are_a_config_error(capsys, argv, message):
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err

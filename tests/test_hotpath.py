@@ -57,12 +57,17 @@ def _scenarios():
     }
 
 
+def _runs(protocol, make_strategy, kw):
+    """(seed, report, event log) of each seed in SEEDS."""
+    for seed in SEEDS:
+        log = []
+        yield seed, Simulation(protocol, make_strategy(), mix64(seed, 1000), log=log, **kw).run(), log
+
+
 def _digests(protocol, make_strategy, kw):
     """sha256 over report_json and the event log of every seed in SEEDS, whose times never decrease."""
     reports, logs = hashlib.sha256(), hashlib.sha256()
-    for seed in SEEDS:
-        log = []
-        rep = Simulation(protocol, make_strategy(), mix64(seed, 1000), log=log, **kw).run()
+    for seed, rep, log in _runs(protocol, make_strategy, kw):
         assert report_json(run_simulation(protocol, make_strategy(), mix64(seed, 1000), **kw)) == report_json(rep)
         times = [rec["time"] for rec in log]
         assert times == sorted(times)  # the clock never moves backwards
@@ -268,3 +273,12 @@ def test_run_coin_log_matches_a_standalone_trial_zero(tmp_path):
     records = []
     Simulation(protocol, RandomDelayStrategy(), mix64(9, 1000), log=records).run()
     assert log.read_text() == dump_event_log(records)
+
+
+if __name__ == "__main__":
+    # Print one scenario's report and event log lines per seed, e.g. `python tests/test_hotpath.py fifo`,
+    # so that a re-recorded GOLDEN pair can be backed by a diff of the lines before and after a change.
+    import sys
+
+    for _, rep, log in _runs(*_scenarios()[sys.argv[1]]):
+        sys.stdout.write(report_json(rep) + dump_event_log(log))

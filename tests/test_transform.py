@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from conftest import small_transform
@@ -5,6 +7,7 @@ from coinforge.analysis import wilson_interval
 from coinforge.params import ParamError
 from coinforge.protocols import (
     BenorCoinProtocol,
+    TransformParty,
     TransformProtocol,
     benor_ground_truth,
     elect_leader,
@@ -12,8 +15,10 @@ from coinforge.protocols import (
 )
 from coinforge.simnet import (
     K_CRUS_VAL,
+    K_MAJ,
     K_PUB,
     AdversaryAction,
+    Envelope,
     Simulation,
     StrategyViolation,
     mix64,
@@ -155,7 +160,7 @@ def test_kinds_a_role_does_not_handle_change_nothing(transform_small):
         rep = sim.run()
         honest_sends = [(e.sender, e.recipient, e.inst, e.kind, e.payload, e.sent_at, e.delivered_at)
                         for e in sim.envelopes if e.honest_at_send]
-        tallies = [(p.v, p.w, p.bits, p.seen_pub, p.output) for i, p in enumerate(sim.parties) if i != x]
+        tallies = [(p.v, p.w, p.maj_from, p.bits, p.output) for i, p in enumerate(sim.parties) if i != x]
         return rep, honest_sends, tallies
 
     base, base_sends, base_tallies = run([])
@@ -168,6 +173,69 @@ def test_kinds_a_role_does_not_handle_change_nothing(transform_small):
     deafened, sends, tallies = run([(member, K_PUB), (receivers[0], K_CRUS_VAL), (deaf, K_PUB)])
     assert (sends, tallies) == (base_sends, base_tallies)
     assert deafened.discarded_non_neighbor == 1  # only the receiver's discard
+
+
+# --- the two per-toss votes of one party -------------------------------------
+
+
+class FirstPayloadRole:
+    """A stub publish role whose output is the payload of the first message it gets."""
+
+    output = None
+    discarded_non_neighbor = 0
+
+    def on_message(self, env):
+        if self.output is None:
+            self.output = env.payload
+        return []
+
+
+class StubPublish:
+    def role(self, pid, inst):
+        return FirstPayloadRole()
+
+
+EVERYONE = tuple(range(6))
+
+
+def _vote_party():
+    """Party 0 of n = 6 in two tosses of q = 4 stub publish instances, with live threshold 2 and
+    output threshold 4, so that both votes can tie."""
+    proto = SimpleNamespace(q=4, ell=2, publish=[StubPublish()] * 4, coin_mode="ideal", live_threshold=2,
+                            output_threshold=4, all_parties=EVERYONE)
+    return TransformParty(0, proto, {})
+
+
+def _send(party, sender, inst, kind, payload):
+    return party.on_message(Envelope(0, sender, 0, inst, kind, payload, 1, 0.0, True))
+
+
+def test_live_vote_counts_each_instance_once_and_ties_to_zero():
+    party = _vote_party()
+    assert _send(party, 1, 0, K_PUB, 1) == []
+    assert _send(party, 2, 0, K_PUB, 0) == []  # instance 0 has counted its output 1 already
+    assert _send(party, 1, 1, K_PUB, 0) == [(EVERYONE, 0, K_MAJ, 0)]  # 1:1 at the live threshold
+    assert _send(party, 1, 2, K_PUB, 1) == [] and _send(party, 1, 3, K_PUB, 1) == []  # one MAJ per toss
+    assert _send(party, 1, 4, K_PUB, 1) == []  # instances 4..7 vote in toss 1
+    assert _send(party, 1, 5, K_PUB, 1) == [(EVERYONE, 1, K_MAJ, 1)]
+    assert party.output is None
+
+
+def test_output_vote_counts_each_senders_first_maj_and_ties_to_zero():
+    party = _vote_party()
+    for sender, bit in enumerate((1, 1, True, 1.0)):  # an injected True or 1.0 counts as 1
+        assert _send(party, sender, 0, K_MAJ, bit) == []
+    assert party.output is None  # toss 1 has no bit yet
+    for sender, toss, bit in [(0, 1, 1),
+                              (0, 1, 0),  # sender 0's second MAJ of toss 1: ignored
+                              (4, -1, 1), (4, 2, 1),  # tosses out of range: ignored
+                              (1, 1, 2),  # not a bit: ignored
+                              (1, 1, 1), (2, 1, 0)]:
+        assert _send(party, sender, toss, K_MAJ, bit) == []
+    assert party.output is None  # toss 1 has counted 1, 1 and 0
+    assert _send(party, 3, 1, K_MAJ, 0) == []  # 2:2 at the output threshold: toss 1 gives 0
+    assert party.output == 0b10  # toss 0 highest
+    assert _send(party, 4, 1, K_MAJ, 1) == [] and party.output == 0b10
 
 
 # --- benor coin ---------------------------------------------------------------
