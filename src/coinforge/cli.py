@@ -22,7 +22,6 @@ from . import __version__, analysis, combinatorics, protocols
 from .config import (
     ExperimentConfig,
     build_protocol,
-    build_strategy,
     config_digest,
     load_layout_file,
     parse_strategy_spec,
@@ -36,6 +35,7 @@ from .params import OVERRIDE_KEYS, CoinParams, ParamError, Poly, derive_params, 
 # run_simulation is not called here (trials run in analysis.run_trials); it
 # stays a module attribute because perfbench patches cli.run_simulation by name
 from .simnet import StrategyViolation, dump_event_log, mix64, run_simulation  # noqa: F401
+from .strategies import build_strategy
 
 # name -> type of each CoinParams field; every field is a flag of its own
 _PARAM_TYPES = get_type_hints(CoinParams)
@@ -271,8 +271,17 @@ def cmd_cost_report(args):
     cfg = _config_from_args(args)
     if args.variant and (args.M is not None or args.L is not None):
         raise ParamError(f"--variant {args.variant} sets its own M and L, so it takes no --M or --L")
+    # a flag the report does not read is refused, not dropped (only the crypto coin's L reads kappa)
+    dests = (*_PARAM_TYPES, *(f"override_{key}" for key in OVERRIDE_KEYS), "delta_prime", "kappa")
+    reads = (("n", "epsilon", "delta_prime", *(("kappa",) if args.variant == "crypto" else ()))
+             if args.variant else dests[:-2])
+    unread = [dest for dest in dests if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        raise ParamError(f"{'--variant ' + args.variant if args.variant else 'a report without --variant'} takes no "
+                         + ", ".join("--" + dest.replace("_", "-") for dest in unread))
     if args.variant:
-        report = preset_cost(args.variant, cfg.n, cfg.epsilon, args.delta_prime, args.kappa)
+        report = preset_cost(args.variant, cfg.n, cfg.epsilon, 0.9 if args.delta_prime is None else args.delta_prime,
+                             128 if args.kappa is None else args.kappa)
     else:
         M = _poly("--M", args.M) if args.M else Poly.power(2)
         L = _poly("--L", args.L) if args.L else Poly.constant(1)
@@ -371,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost-report", help="closed-form cost bounds")
     _add_param_flags(p)
     p.add_argument("--variant", choices=["perfect", "crypto"])
-    p.add_argument("--delta-prime", type=float, default=0.9, dest="delta_prime")
-    p.add_argument("--kappa", type=int, default=128)
+    p.add_argument("--delta-prime", type=float, dest="delta_prime")
+    p.add_argument("--kappa", type=int)
     p.add_argument("--M", help="JSON [[coef, exp, logpow], ...]")
     p.add_argument("--L", help="JSON [[coef, exp, logpow], ...]")
     p.set_defaults(func=cmd_cost_report)

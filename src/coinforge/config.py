@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field, fields
 from . import protocols
 from .combinatorics import loads_layout
 from .params import CoinParams, ParamError, derive_params
-from .strategies import build_strategy  # noqa: F401  (the CLI's entry point to the registry)
 
 ENV_SEED = "COINFORGE_SEED"
 

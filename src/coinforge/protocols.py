@@ -13,7 +13,7 @@ each majority-bit coin its parties run); the simulator reads 1, 1 and no coins
 where they are missing. Every role below is a party: a standalone protocol's
 `make_party` returns the role itself, `PublishProtocol.role` builds every
 publish role, and the transformation party routes each envelope to its role
-in that instance. Scheduling, corruption and accounting live entirely in `simnet`.
+in that instance. Scheduling, corruption, accounting and payload checks live in `simnet`.
 
 Crusader agreement (binary, tolerates t < s/3 inside a committee of size s):
   1. broadcast VAL(input);
@@ -79,7 +79,7 @@ class CrusaderSM:
     def on_message(self, env):
         out = []
         sender, kind, payload = env.sender, env.kind, env.payload
-        if sender not in self.members_set or payload not in (0, 1):
+        if sender not in self.members_set:
             return out
         if kind == K_CRUS_VAL or kind == K_CRUS_RELAY:
             seen = self.echo_senders[payload]
@@ -170,7 +170,7 @@ class PublishReceiverSM:
 
     def on_message(self, env):
         sender, payload = env.sender, env.payload
-        if env.kind != K_PUB or payload not in (0, 1, BOT):
+        if env.kind != K_PUB:
             return []
         if sender not in self.neighbors:
             self.discarded_non_neighbor += 1
@@ -213,8 +213,7 @@ class BenorSM:
 
     def on_message(self, env):
         sender, payload = env.sender, env.payload
-        if (env.kind != K_COIN or self.output is not None or payload not in (0, 1)
-                or sender not in self.members_set or sender in self.seen):
+        if env.kind != K_COIN or self.output is not None or sender not in self.members_set or sender in self.seen:
             return []
         self.seen.add(sender)
         self.ones += payload
@@ -268,12 +267,10 @@ class TransformParty:
         kind, inst = env.kind, env.inst
         if kind == K_MAJ:
             # MAJ instance = toss
-            bits, sender, b = self.bits, env.sender, env.payload
-            if (0 <= inst < len(bits) and bits[inst] is None and b in (0, 1)
-                    and sender not in self.maj_from[inst]):
+            bits, sender, w = self.bits, env.sender, self.w[inst]
+            if bits[inst] is None and sender not in self.maj_from[inst]:
                 self.maj_from[inst].add(sender)
-                w = self.w[inst]
-                w[b != 0] += 1  # an injected 1.0 or True counts as 1, as it passed `in (0, 1)`
+                w[env.payload] += 1
                 if w[0] + w[1] == self.proto.output_threshold:
                     bits[inst] = 0 if w[0] >= w[1] else 1
                     if None not in bits:  # toss 0 highest
@@ -290,9 +287,7 @@ class TransformParty:
                     return self.on_coin(inst, sm.output)
             return []
         # each publish role ignores the kinds it does not handle
-        sm = self.pub.get(inst)
-        if sm is None:
-            return []
+        sm = self.pub[inst]
         counted = sm.output is not None
         msgs = sm.on_message(env)
         if not counted and sm.output is not None:

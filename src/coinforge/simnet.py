@@ -27,12 +27,13 @@ The adversary (a `strategies` plug-in) sees the run only through its
 AdversaryView and acts only through AdversaryActions, each checked against
 the rules above before it takes effect: an id, in an action or a view
 lookup, must name something that exists; a time, delay_for's answer
-included, must be a finite number; and no delivery or coin output is
-scheduled before now. An envelope is pending while its id is in `_sched`,
-the one record of what may still be dropped or re-timed. A coin is fair
-until its corrupted members reach the instance's overload quota
-(`CoinSpec.bad_threshold`); the verdict is fixed at its first honest
-output, or at report time.
+included, must be a finite number; an injected payload must be an int in
+its kind's `KIND_VALUES` (checked only here: handlers trust their payloads);
+and no delivery or coin output is scheduled before now. An envelope is
+pending while its id is in `_sched`, the one record of what may still be
+dropped or re-timed. A coin is fair until its corrupted members reach the
+instance's overload quota (`CoinSpec.bad_threshold`); the verdict is fixed
+at its first honest output, or at report time.
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ from dataclasses import dataclass
 from .params import ParamError
 
 # wire kinds; K_OPAQUE marks injected blobs with a declared size
-K_COIN, K_CRUS_VAL, K_CRUS_RELAY, K_CRUS_AUX, K_PUB, K_MAJ = range(6)
-K_OPAQUE = 6
+K_COIN, K_CRUS_VAL, K_CRUS_RELAY, K_CRUS_AUX, K_PUB, K_MAJ, K_OPAQUE = range(7)
 KIND_NAMES = ("COIN", "CRUS_VAL", "CRUS_RELAY", "CRUS_AUX", "PUB", "MAJ", "OPAQUE")
 BOT = 2  # wire encoding of the crusader "no common value" output
+# the wire format: each kind's payloads (OPAQUE: any); a size is instance tag bits plus value bits
+KIND_VALUES = ((0, 1), (0, 1), (0, 1), (0, 1), (0, 1, BOT), (0, 1), None)
 
 DEADLINE = 1.0  # honest-sender force-delivery horizon
 MIN_DELAY = 1.0 / 256.0
@@ -326,19 +328,10 @@ class Simulation:
         self._byz_kind_count = [0] * len(KIND_NAMES)
         self._byz_bucket = {"bit": 0, "tagged": 0, "opaque": 0}
 
-        tag_space = getattr(protocol, "tag_space", 1)
-        maj_space = getattr(protocol, "maj_tag_space", 1)
-        tag_bits = math.ceil(math.log2(tag_space)) if tag_space > 1 else 0
-        maj_bits = math.ceil(math.log2(maj_space)) if maj_space > 1 else 0
-        self._kind_size = (
-            tag_bits + 1,  # COIN
-            tag_bits + 1,  # CRUS_VAL
-            tag_bits + 1,  # CRUS_RELAY
-            tag_bits + 1,  # CRUS_AUX
-            tag_bits + 2,  # PUB carries 0/1/bot
-            maj_bits + 1,  # MAJ
-            0,             # OPAQUE: size must be declared at injection
-        )
+        self._inst_space = [getattr(protocol, "tag_space", 1)] * len(KIND_NAMES)
+        self._inst_space[K_MAJ] = getattr(protocol, "maj_tag_space", 1)
+        self._kind_size = tuple(0 if values is None else (space - 1).bit_length() + (len(values) - 1).bit_length()
+                                for space, values in zip(self._inst_space, KIND_VALUES))
         self._kind_bucket = tuple(_bucket_of(kind, size) for kind, size in enumerate(self._kind_size))
         # largest delay delivered per sender while it was honest
         self._sender_max_delay = [0.0] * self.n
@@ -465,7 +458,10 @@ class Simulation:
             _check_id("recipient", recipient, self.n)
             _check_id("kind", kind, len(KIND_NAMES))
             inst = msg.get("inst", 0)
-            _check_id("inst", inst, getattr(self.protocol, "maj_tag_space" if kind == K_MAJ else "tag_space", 1))
+            _check_id("inst", inst, self._inst_space[kind])
+            payload, values = msg["payload"], KIND_VALUES[kind]
+            if values is not None and (type(payload) is not int or payload not in values):
+                raise StrategyViolation(f"a {KIND_NAMES[kind]} payload is one of {values}, not {payload!r}")
             size = msg.get("size_bits", self._kind_size[kind])
             if type(size) is not int or size < 1:
                 raise StrategyViolation("injected messages need an integer size_bits >= 1")
@@ -474,7 +470,7 @@ class Simulation:
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
             eid = len(self.envelopes)
-            self.envelopes.append(Envelope(eid, sender, recipient, inst, kind, msg["payload"], size,
+            self.envelopes.append(Envelope(eid, sender, recipient, inst, kind, payload, size,
                                            self.now, False))
             self._byz_kind_count[kind] += 1
             self._byz_bucket[_bucket_of(kind, size)] += 1

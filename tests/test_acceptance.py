@@ -363,7 +363,7 @@ def transform_adversarial_runs():
         corrupted = {p for p, _ in rep.corruptions}
         assert len(corrupted) == cp.t  # the full budget is spent
         bad = sum(1 for cmt in layout.committees
-                  if len(corrupted & set(cmt)) >= cp.alpha * dp.s)
+                  if len(corrupted & set(cmt)) >= proto.bad_quota)
         stats["bad_committees"].add(bad)
         if rep.agreed:
             stats["agreed"] += 1

@@ -3,9 +3,9 @@ import json
 import pytest
 
 from coinforge.cli import main
-from coinforge.config import ExperimentConfig, parse_strategy_spec, build_strategy
+from coinforge.config import ExperimentConfig, parse_strategy_spec
 from coinforge.params import ParamError
-from coinforge.strategies import CombinedStrategy, PublishDelayerStrategy, built_in_strategies
+from coinforge.strategies import CombinedStrategy, PublishDelayerStrategy, build_strategy, built_in_strategies
 
 
 def run_cli(*argv):
@@ -263,6 +263,9 @@ def test_cost_report_variants(capsys):
     assert "coin_msgs=8448" in capsys.readouterr().out
 
 
+VARIANT = ["cost-report", "--variant", "perfect", "--n", "1000000", "--epsilon", "0.01"]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["verify-lemma4", "--n-max", "0"], "n_max must be at least 1"),
     (["cost-report", "--n", "8", "--M", "[[1,2]]"], "--M must be"),
@@ -272,8 +275,18 @@ def test_cost_report_variants(capsys):
      "takes no --M or --L"),
     (["cost-report", "--variant", "crypto", "--n", "1000000", "--epsilon", "0.01", "--L", "[[8,0,0]]"],
      "takes no --M or --L"),
+    # a variant reads only n, epsilon, delta' and (crypto) kappa; a report without one reads neither of the last two
+    ([*VARIANT, "--k", "3"], "takes no --k"),
+    ([*VARIANT, "--alpha", "0.25", "--z", "0.1"], "takes no --z, --alpha"),
+    ([*VARIANT, "--R", "7"], "takes no --R"),
+    ([*VARIANT, "--override-q", "9"], "takes no --override-q"),
+    ([*VARIANT, "--kappa", "7"], "takes no --kappa"),
+    (["cost-report", "--n", "1000000", "--epsilon", "0.01", "--delta-prime", "0.5", "--kappa", "7"],
+     "a report without --variant takes no --delta-prime, --kappa"),
 ], ids=["lemma4-n-max-0", "cost-term-of-two", "cost-terms-a-mapping", "cost-negative-logpow",
-        "cost-variant-with-M", "cost-variant-with-L"])
+        "cost-variant-with-M", "cost-variant-with-L", "cost-variant-with-k", "cost-variant-with-alpha-z",
+        "cost-variant-with-R", "cost-variant-with-override", "cost-perfect-with-kappa",
+        "cost-delta-prime-kappa-without-variant"])
 def test_bad_lemma4_and_cost_arguments_are_a_config_error(capsys, argv, message):
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err

@@ -9,7 +9,7 @@ from byz import PublishCorrupter, ScriptedByzantine, random_crusader_behavior
 from conftest import small_transform
 from coinforge.cli import main
 from coinforge.combinatorics import gen_publish_graph
-from coinforge.config import build_strategy, parse_strategy_spec
+from coinforge.config import parse_strategy_spec
 from coinforge.params import publish_degree
 from coinforge.protocols import BenorCoinProtocol, CrusaderProtocol, PublishProtocol
 from coinforge.simnet import (
@@ -21,7 +21,7 @@ from coinforge.simnet import (
     report_json,
     run_simulation,
 )
-from coinforge.strategies import BenorBiaserStrategy, FifoStrategy, RandomDelayStrategy, Strategy
+from coinforge.strategies import BenorBiaserStrategy, FifoStrategy, RandomDelayStrategy, Strategy, build_strategy
 
 SEEDS = (1, 2, 3)
 

@@ -7,9 +7,9 @@ import weakref
 import pytest
 
 from conftest import small_transform
-from coinforge.config import build_strategy, parse_strategy_spec
+from coinforge.config import parse_strategy_spec
 from coinforge.simnet import AdversaryAction, Simulation, StrategyViolation, mix64, run_simulation
-from coinforge.strategies import RandomDelayStrategy, Strategy
+from coinforge.strategies import RandomDelayStrategy, Strategy, build_strategy
 from test_hotpath import _scenarios as _golden_scenarios
 
 

@@ -1,16 +1,24 @@
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from byz import ScriptedByzantine
 from conftest import small_transform
-from coinforge.config import build_strategy, parse_strategy_spec
+from coinforge.config import parse_strategy_spec
 from coinforge.protocols import CrusaderProtocol
 from coinforge.simnet import (
     AdversaryAction,
     CoinSpec,
+    K_COIN,
+    K_CRUS_AUX,
+    K_CRUS_VAL,
     K_MAJ,
     K_OPAQUE,
+    K_PUB,
+    KIND_NAMES,
     Simulation,
     StrategyViolation,
     dump_event_log,
@@ -18,7 +26,7 @@ from coinforge.simnet import (
     report_json,
     run_simulation,
 )
-from coinforge.strategies import FifoStrategy, RandomDelayStrategy, Strategy
+from coinforge.strategies import FifoStrategy, RandomDelayStrategy, Strategy, build_strategy
 
 
 class PingProtocol:
@@ -255,6 +263,18 @@ def after_1(view):  # every ping to another party lands at the deadline 1
 A = AdversaryAction
 PING = {"sender": 0, "recipient": 1, "kind": K_MAJ, "payload": 1}
 
+CRUS = {"sender": 3, "recipient": 0, "kind": K_CRUS_VAL, "payload": 1}
+
+
+def crusader_4():
+    return CrusaderProtocol(4, [1, 1, 1, 1])
+
+
+def injected(msg, **fields):
+    """Corrupt msg's sender at time 0, then inject msg with `fields` replaced, for delivery at 0.5."""
+    return Script(now(A.corrupt(msg["sender"])), now(A.inject({**msg, **fields}, 0.5)))
+
+
 # name -> (protocol, corruption budget, strategy, the message its violation matches)
 VIOLATIONS = {
     "coin-offset-zero": (CoinPingProtocol, 0, lambda: Script(offsets={0: 0.0}), "offset outside"),
@@ -340,6 +360,20 @@ VIOLATIONS = {
                                     r"\(sent, sent\+1\], a self-delivery also at sent"),
     "delay-str": (PingProtocol, 0, lambda: Script(delay="0.5"), "delay '0.5' is not a finite number"),
     "delay-bool": (PingProtocol, 0, lambda: Script(delay=True), "delay True is not a finite number"),
+    # an injected payload is an exact int in its kind's value set
+    "inject-maj-true": (PingProtocol, 1, lambda: injected(PING, payload=True),
+                        r"MAJ payload is one of \(0, 1\), not True"),
+    "inject-maj-float": (PingProtocol, 1, lambda: injected(PING, payload=1.0),
+                         r"MAJ payload is one of \(0, 1\), not 1.0"),
+    "inject-maj-two": (PingProtocol, 1, lambda: injected(PING, payload=2), r"MAJ payload is one of \(0, 1\), not 2"),
+    "inject-crus-val-float": (crusader_4, 1, lambda: injected(CRUS, payload=1.0),
+                              r"CRUS_VAL payload is one of \(0, 1\), not 1.0"),
+    "inject-crus-aux-float": (crusader_4, 1, lambda: injected(CRUS, kind=K_CRUS_AUX, payload=1.0),
+                              r"CRUS_AUX payload is one of \(0, 1\), not 1.0"),
+    "inject-pub-three": (PingProtocol, 1, lambda: injected(PING, kind=K_PUB, payload=3),
+                         r"PUB payload is one of \(0, 1, 2\), not 3"),
+    "inject-coin-str": (PingProtocol, 1, lambda: injected(PING, kind=K_COIN, payload="1"),
+                        r"COIN payload is one of \(0, 1\), not '1'"),
     # the view's lookups check their ids as actions do
     "view-envelope-negative": (PingProtocol, 0, lambda: Script(lambda v: v.envelope(-1)),
                                "envelope -1 is not an id"),
@@ -357,6 +391,53 @@ def test_every_model_rule_faults_the_strategy(name):
     protocol, t_budget, strategy, match = VIOLATIONS[name]
     with pytest.raises(StrategyViolation, match=match):
         run_simulation(protocol(), strategy(), seed=1, t_budget=t_budget)
+
+
+BOUNDARY_PROTOCOLS = {"transform": lambda: small_transform()[-1], "crusader": crusader_4}
+PAYLOADS = (0, 1, 2, 3, -1, True, False, 1.0, "1", None)
+
+
+@functools.cache
+def boundary_protocol(name):
+    return BOUNDARY_PROTOCOLS[name]()
+
+
+@st.composite
+def injections(draw, protocol):
+    """1-6 inject actions from party 0: any kind, an inst inside the kind's space, any payload of
+    PAYLOADS (OPAQUE with a declared size), a dyadic delivery time in (0, 2]."""
+    acts = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.integers(0, len(KIND_NAMES) - 1))
+        space = getattr(protocol, "maj_tag_space" if kind == K_MAJ else "tag_space", 1)
+        msg = {"sender": 0, "recipient": draw(st.integers(0, protocol.n - 1)), "kind": kind,
+               "inst": draw(st.integers(0, space - 1)), "payload": draw(st.sampled_from(PAYLOADS))}
+        if kind == K_OPAQUE:
+            msg["size_bits"] = 8
+        acts.append(A.inject(msg, draw(st.integers(1, 512)) / 256))
+    return acts
+
+
+def admissible(msg):
+    payload, kind = msg["payload"], msg["kind"]
+    bits = (0, 1, 2) if kind == K_PUB else (0, 1)
+    return kind == K_OPAQUE or (type(payload) is int and payload in bits)
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDARY_PROTOCOLS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_an_injection_ends_in_a_report_or_a_violation(name, data):
+    # every injection is admitted or refused at the boundary: no handler raises on what it admits
+    protocol = boundary_protocol(name)
+    acts = data.draw(injections(protocol))
+    strategy = Script(now(A.corrupt(0)), *map(now, acts))
+    if all(admissible(act.message) for act in acts):
+        rep = run_simulation(protocol, strategy, seed=1, t_budget=1)
+        assert sum(rep.byz_msg_count_by_kind.values()) == len(acts)
+    else:
+        with pytest.raises(StrategyViolation, match="payload is one of"):
+            run_simulation(protocol, strategy, seed=1, t_budget=1)
 
 
 def test_re_timing_to_now_and_integer_delays_are_legal():
