@@ -19,6 +19,7 @@ import sys
 from typing import get_type_hints
 
 from . import __version__, analysis, combinatorics, protocols
+from ._jsonout import dumps
 from .config import (
     ExperimentConfig,
     build_protocol,
@@ -48,7 +49,7 @@ EXIT_CONFIG = 3
 def _write_out(path, payload):
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(dumps(payload))
 
 
 def _envelope(cfg_dict, seed, results):
@@ -280,6 +281,15 @@ def cmd_cost_report(args):
         raise ParamError(f"{'--variant ' + args.variant if args.variant else 'a report without --variant'} takes no "
                          + ", ".join("--" + dest.replace("_", "-") for dest in unread))
     if args.variant:
+        # the same rule for --config: an unread flag was refused above, so an unread value off
+        # its default came from the document (a CLI-written config holds the defaults)
+        default = ExperimentConfig()
+        dropped = [key for key in _PARAM_TYPES if key not in ("n", "epsilon")
+                   and getattr(cfg, key) != getattr(default, key)]
+        dropped += [f"overrides.{key}" for key in sorted(cfg.overrides)]
+        if dropped:
+            raise ParamError(f"--variant {args.variant} does not read {', '.join(dropped)}, "
+                             "which --config sets to values other than the defaults")
         report = preset_cost(args.variant, cfg.n, cfg.epsilon, 0.9 if args.delta_prime is None else args.delta_prime,
                              128 if args.kappa is None else args.kappa)
     else:

@@ -61,6 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsonout import dumps
 from ._kernels import mask_positions, membership_matrix, rows_meeting_threshold, set_words, suffix_table
 from .params import ParamError, crusader_fault_bound, overload_quota
 
@@ -542,7 +543,7 @@ def _check_layout(layout: CommitteeLayout, graphs: list[PublishGraph]) -> None:
 
 
 def dumps_layout(layout: CommitteeLayout, graphs: list[PublishGraph] | None = None) -> str:
-    return json.dumps(layout_document(layout, graphs), sort_keys=True, indent=2) + "\n"
+    return dumps(layout_document(layout, graphs))
 
 
 def loads_layout(text: str) -> tuple[CommitteeLayout, list[PublishGraph]]:

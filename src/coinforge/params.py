@@ -108,6 +108,14 @@ def overload_quota(share: float, size: int) -> int:
     return math.ceil(share * size)
 
 
+def tag_bits(space: int) -> int:
+    """(space - 1).bit_length(), the bits that name one of `space` values: the one tag rule. A
+    message's instance tag names one of its protocol's instances, and its payload one of its
+    kind's values. Exact for every integer, where ceil(log2(space)) in binary64 is not (it
+    reads 60 at 2**60 + 1)."""
+    return (space - 1).bit_length()
+
+
 def publish_degree(s: int, d: int, n: int) -> int:
     """Receiver degree Delta for a committee of size s at fault budget d."""
     if s < 1 or d < 1 or n < 1:
@@ -263,7 +271,7 @@ def transform_cost(p: CoinParams, M: Poly, L: Poly, overrides: dict | None = Non
 
     M and L describe the committee coin: at most M(x) messages of size at most
     L(x) bits when x parties run it. The transformed coin then costs
-       q*M(s) coin messages of size L(s) + ceil(log2 q) tag bits,
+       q*M(s) coin messages of size L(s) + tag_bits(q) = ceil(log2 q) tag bits,
        s*n^(3-3/k) / (z*(1-3a+3e)) + n^(2-2/k)*(s^2 + n*log2 n) publish-layer
        messages (tag + 2 bits each), and n^2 single-bit majority broadcasts.
     Latency is bounded by R + 5. Zero polynomial evaluations are legal
@@ -276,7 +284,7 @@ def transform_cost(p: CoinParams, M: Poly, L: Poly, overrides: dict | None = Non
     if m_val < 0 or l_val < 0:
         raise ParamError("polynomial evaluated to a negative value")
 
-    tag = math.ceil(math.log2(q)) if q > 1 else 0
+    tag = tag_bits(q)
     coin_msgs = q * m_val
     coin_size = l_val + tag
 

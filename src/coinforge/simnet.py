@@ -45,7 +45,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .params import ParamError
+from .params import ParamError, tag_bits
 
 # wire kinds; K_OPAQUE marks injected blobs with a declared size
 K_COIN, K_CRUS_VAL, K_CRUS_RELAY, K_CRUS_AUX, K_PUB, K_MAJ, K_OPAQUE = range(7)
@@ -69,6 +69,35 @@ def mix64(seed: int, index: int) -> int:
     x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
     x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
     return x ^ (x >> 31)
+
+
+class RngStream:
+    """A per-trial stream: `random.Random(seed)`, built at its first draw.
+
+    Most trials never draw from most of their streams (a fifo multi-toss
+    trial draws only coin bits), and seeding a Random costs about 10 us. The
+    first lookup of a public name builds the Random and caches its bound
+    method in the instance dict, so later draws cost what a Random's do and
+    the stream holds no reference back to itself. Every stream yields the
+    numbers `random.Random(seed)` would. A stream without a seed refuses to
+    be drawn from, for a run that must draw no randomness.
+    """
+
+    def __init__(self, seed: int | None = None):
+        self._seed = seed
+
+    def __getattr__(self, name):  # reached only for names not yet in the instance dict
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if self._seed is None:
+            raise ParamError(f"this run draws no randomness, yet its rng was asked for {name}")
+        rng = self.__dict__.get("_rng")
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        value = getattr(rng, name)
+        if callable(value):  # a method; a data attribute such as gauss_next may change
+            setattr(self, name, value)
+        return value
 
 
 def _bucket_of(kind, size_bits):
@@ -310,7 +339,7 @@ class Simulation:
         self.step_budget = step_budget
 
         self.n = protocol.n
-        self.rng = random.Random(mix64(seed, 0))
+        self.rng = RngStream(mix64(seed, 0))
         self.now = 0.0
         self._seq = 0
         self._heap = []
@@ -330,13 +359,13 @@ class Simulation:
 
         self._inst_space = [getattr(protocol, "tag_space", 1)] * len(KIND_NAMES)
         self._inst_space[K_MAJ] = getattr(protocol, "maj_tag_space", 1)
-        self._kind_size = tuple(0 if values is None else (space - 1).bit_length() + (len(values) - 1).bit_length()
+        self._kind_size = tuple(0 if values is None else tag_bits(space) + tag_bits(len(values))
                                 for space, values in zip(self._inst_space, KIND_VALUES))
         self._kind_bucket = tuple(_bucket_of(kind, size) for kind, size in enumerate(self._kind_size))
         # largest delay delivered per sender while it was honest
         self._sender_max_delay = [0.0] * self.n
 
-        self._trial_ctx = protocol.setup_trial(random.Random(mix64(seed, 1)))
+        self._trial_ctx = protocol.setup_trial(RngStream(mix64(seed, 1)))
         self.parties = [protocol.make_party(i, self._trial_ctx) for i in range(self.n)]
         self.output_times: list[float | None] = [None] * self.n
 
@@ -344,7 +373,7 @@ class Simulation:
         # outputs; a coin the parties run themselves is message traffic, and
         # its protocol reports the ground truth (`benor_truth`) at report time
         self.coin_instances: list[CoinInstance] = []
-        strategy.bind(self.view, random.Random(mix64(seed, 2)))
+        strategy.bind(self.view, RngStream(mix64(seed, 2)))
         for spec in getattr(protocol, "coin_specs", ()):
             g = self.rng.random() < spec.delta
             b = self.rng.getrandbits(1)

@@ -2,8 +2,9 @@
 
 A strategy sees the run only through an AdversaryView, one channel per decision:
 
-  * bind(view, rng) runs before the first event: it takes the per-trial rng
-    and may refuse the run from view.n, view.mode or view.protocol.
+  * bind(view, rng) runs before the first event: it takes the per-trial rng,
+    a stream seeded on its first draw (`simnet.RngStream`), and may refuse
+    the run from view.n, view.mode or view.protocol.
   * delay_for(env) is consulted once per cross-party send and returns the
     delivery delay in (0, 1]; None means the 1-unit deadline. This is sugar
     for an immediate "delay" action and keeps the common path cheap.
@@ -49,10 +50,9 @@ Built-ins (all deterministic given their bound seed):
 from __future__ import annotations
 
 import math
-import random
 
 from .params import ParamError
-from .simnet import AdversaryAction, DEADLINE, K_COIN, K_PUB, MIN_DELAY, StrategyViolation
+from .simnet import AdversaryAction, DEADLINE, K_COIN, K_PUB, MIN_DELAY, RngStream, StrategyViolation
 
 
 class Strategy:
@@ -274,7 +274,7 @@ class CombinedStrategy(Strategy):
     def bind(self, view, rng):
         super().bind(view, rng)
         for p in self.parts:
-            p.bind(view, random.Random(rng.getrandbits(63)))
+            p.bind(view, RngStream(rng.getrandbits(63)))
         # a part that keeps the base delay_for always answers None and draws
         # nothing, so skipping it changes neither the winner nor any rng stream
         self._delayers = [p.delay_for for p in self.parts

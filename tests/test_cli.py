@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -291,6 +292,35 @@ def test_bad_lemma4_and_cost_arguments_are_a_config_error(capsys, argv, message)
     assert run_cli(*argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err and err.count("\n") == 1
+
+
+def test_cost_report_bytes_at_the_readme_point(tmp_path, monkeypatch, capsys):
+    """The README's cost-report, written to --out: the exact tag-bit rule changed no byte."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*VARIANT, "--delta-prime", "0.9", "--seed", "0", "--out", "cost.json") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "00ee9fb445313ca8c64542275745e6cc2b013893861d16c79c172d530f302f81")
+    assert hashlib.sha256((tmp_path / "cost.json").read_bytes()).hexdigest() == (
+        "820880d521de4d50f2c307ac082dae1e4ed933275824b391a020e4dba5817e99")
+
+
+def test_cost_report_variant_refuses_config_values_it_does_not_read(tmp_path, capsys):
+    dropped = tmp_path / "dropped.json"
+    dropped.write_text(json.dumps({"k": 3.0, "alpha": 0.2, "R": 7}))
+    assert run_cli(*VARIANT, "--config", str(dropped)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "does not read k, alpha, R," in err
+    dropped.write_text(json.dumps({"t": 1, "overrides": {"q": 9}}))
+    assert run_cli(*VARIANT, "--config", str(dropped)) == 3
+    assert "does not read t, overrides.q," in capsys.readouterr().err
+    # a CLI-written config holds every unread value at its default, so it loads
+    out = tmp_path / "cost.json"
+    assert run_cli(*VARIANT, "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    written = tmp_path / "written.json"
+    written.write_text(json.dumps(json.loads(out.read_text())["config"]))
+    assert run_cli("cost-report", "--variant", "perfect", "--config", str(written)) == 0
+    assert capsys.readouterr().out == printed
 
 
 def test_leader_command(tmp_path, capsys):

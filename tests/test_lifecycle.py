@@ -8,7 +8,7 @@ import pytest
 
 from conftest import small_transform
 from coinforge.config import parse_strategy_spec
-from coinforge.simnet import AdversaryAction, Simulation, StrategyViolation, mix64, run_simulation
+from coinforge.simnet import AdversaryAction, RngStream, Simulation, StrategyViolation, mix64, run_simulation
 from coinforge.strategies import RandomDelayStrategy, Strategy, build_strategy
 from test_hotpath import _scenarios as _golden_scenarios
 
@@ -56,12 +56,23 @@ def test_finished_simulation_is_freed_by_reference_counting(name, collector_paus
 @pytest.mark.parametrize("spec,kw", [
     ("random_delay", {}),
     ("committee_targeter:0,2+publish_delayer:1.0", {"t_budget": 4}),
+    ("fifo", {}),  # its strategy and setup_trial streams are never drawn from
 ])
 def test_run_simulation_trial_leaves_no_cyclic_garbage(spec, kw, collector_paused):
     transform = small_transform()[-1]
     gc.collect()
     for seed in range(3):
         run_simulation(transform, build_strategy(parse_strategy_spec(spec)), mix64(seed, 1000), **kw)
+    assert gc.collect() == 0
+
+
+def test_a_drawn_stream_is_freed_by_reference_counting(collector_paused):
+    gc.collect()
+    stream = RngStream(3)
+    stream.random(), stream.getrandbits(5), stream.randrange(1, 9)
+    ref = weakref.ref(stream)
+    del stream
+    assert ref() is None
     assert gc.collect() == 0
 
 

@@ -16,6 +16,7 @@ from coinforge.params import (
     overload_quota,
     preset_cost,
     publish_degree,
+    tag_bits,
     transform_cost,
 )
 
@@ -209,3 +210,25 @@ def test_publish_degree_formula():
     # min(ceil(2*9/3), ceil(30*(9 ln2 / 1 + ln 16))) = min(6, 271)
     assert publish_degree(9, 1, 16) == 6
     assert publish_degree(9, 2, 16) == 6
+
+
+def _ceil_log2(q):
+    """The least b with 2**b >= q, by integer doubling."""
+    b = 0
+    while (1 << b) < q:
+        b += 1
+    return b
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 33, 2**48 + 1, 2**49, 2**49 + 1, 2**60, 2**60 + 1, 2**100 + 1])
+def test_tag_bits_is_the_exact_ceil_log2(q):
+    assert tag_bits(q) == _ceil_log2(q)
+
+
+@pytest.mark.parametrize("e", [49, 60])
+def test_transform_cost_tags_are_exact_where_binary64_log2_rounds_down(e):
+    q = 2**e + 1
+    assert math.ceil(math.log2(q)) == e  # the float rule: one bit short
+    rep = transform_cost(CoinParams(n=16), Poly.power(2), Poly.constant(1), {"q": q})
+    assert rep.strongcoin_msg_size == 1 + (e + 1)
+    assert [t.bits_per_message for t in rep.breakdown[1:3]] == [e + 3, e + 3]

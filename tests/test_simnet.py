@@ -1,5 +1,7 @@
 import functools
 import math
+import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from byz import ScriptedByzantine
 from conftest import small_transform
 from coinforge.config import parse_strategy_spec
+from coinforge import simnet
+from coinforge.params import ParamError
 from coinforge.protocols import CrusaderProtocol
 from coinforge.simnet import (
     AdversaryAction,
@@ -19,6 +23,7 @@ from coinforge.simnet import (
     K_OPAQUE,
     K_PUB,
     KIND_NAMES,
+    RngStream,
     Simulation,
     StrategyViolation,
     dump_event_log,
@@ -540,3 +545,45 @@ def test_mix64_is_stable():
     assert mix64(1, 2) == mix64(1, 2)
     assert mix64(1, 2) != mix64(1, 3)
     assert mix64(0, 0) >= 0
+
+
+# --- per-trial rng streams ------------------------------------------------------
+
+
+@pytest.mark.parametrize("first", ["random", "getrandbits", "randrange"])
+@pytest.mark.parametrize("seed", [0, 1, mix64(7, 2), 2**63 - 1])
+def test_rng_stream_yields_the_seeded_random_sequences(seed, first):
+    """random(), getrandbits(k) and randrange(a, b), interleaved from any first draw, as Random(seed) gives them."""
+    stream, ref = RngStream(seed), random.Random(seed)
+    draws = {"random": lambda r, i: r.random(), "getrandbits": lambda r, i: r.getrandbits(i % 64 + 1),
+             "randrange": lambda r, i: r.randrange(1, 257 + i)}
+    order = [first, *(name for name in draws if name != first)]
+    for i in range(60):
+        name = order[i % 3]
+        assert draws[name](stream, i) == draws[name](ref, i)
+
+
+def test_a_stream_never_drawn_from_builds_no_random(monkeypatch):
+    toss = small_transform(n=1, q=1, s=1, c=1, z=0.3, epsilon=1 / 12, layout_seed=1, ell=8)[-1]
+    built = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(simnet, "random", types.SimpleNamespace(Random=Counting))
+    RngStream(5)
+    assert built == []
+    seed = mix64(3, 0)
+    rep = run_simulation(toss, FifoStrategy(), seed)
+    # only the coin stream: the protocol's setup_trial and fifo draw nothing
+    assert built == [mix64(seed, 0)] and rep.agreed
+
+
+def test_an_unseeded_stream_refuses_every_draw():
+    stream = RngStream()
+    for draw in (lambda r: r.random(), lambda r: r.getrandbits(1), lambda r: r.randrange(0, 2)):
+        with pytest.raises(ParamError, match="draws no randomness"):
+            draw(stream)
+    assert getattr(stream, "_rng", None) is None
