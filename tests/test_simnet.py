@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from byz import ScriptedByzantine
 from conftest import small_transform
-from coinforge.config import parse_strategy_spec
 from coinforge import simnet
+from coinforge.config import parse_strategy_spec
 from coinforge.params import ParamError
 from coinforge.protocols import CrusaderProtocol
 from coinforge.simnet import (
