@@ -1,10 +1,10 @@
 """Hot counting kernel for exhaustive combinatorial verification.
 
-Both verifiers reduce to one primitive: given row masks (committees or
-receiver adjacency rows) and a batch of candidate fault-set masks B over the
-same universe, count for each B how many rows have at least `threshold`
-members inside B. The threshold is an integer quota (`params.overload_quota`),
-so the popcounts are compared as integers, never cast to float.
+Both verifiers ask one question: given row masks (committees or receiver
+adjacency rows) and every size-subset B of the same universe, is there a B
+that cap or more rows meet in at least `quota` members? The quota is an
+integer (`params.overload_quota`), so sizes are compared as integers, never
+cast to float.
 
 Sets are uint64 bitsets over positions 0..width-1 of their universe, one row
 of `words = ceil(width/64)` words per set (bit p lives in word p // 64).
@@ -13,8 +13,11 @@ numpy >= 2.0).
 
 `suffix_table(width, k)` lists every k-subset of range(width) as masks in
 lexicographic order (Knuth, TAOCP vol. 4A, §7.2.1.3). The subsets whose
-minimum is at least j form a suffix of that order, which is what lets the
-verifiers build every fault set as a cached tail slice ORed with a prefix.
+minimum is at least j form a suffix of that order, so every B is a prefix
+ORed onto a tail slice of the table, and |B ∩ row| = |prefix ∩ row| +
+|tail ∩ row|. The scan takes the second term for every row and table entry
+once (`intersection_sizes`); per prefix it is left with one threshold
+compare per (row, tail) pair (`rows_meeting_threshold`).
 """
 
 from __future__ import annotations
@@ -44,9 +47,14 @@ def membership_matrix(rows, width: int) -> np.ndarray:
     return np.array([set_words(ids, words) for ids in rows], dtype=np.uint64).reshape(len(rows), words)
 
 
+def mask_bits(mask) -> int:
+    """One (words,) mask, an array or a list of words, as a Python int."""
+    return sum(int(word) << (64 * w) for w, word in enumerate(mask))
+
+
 def mask_positions(mask: np.ndarray) -> tuple[int, ...]:
     """Sorted positions of the set bits of one (words,) mask."""
-    bits = sum(int(word) << (64 * w) for w, word in enumerate(mask))
+    bits = mask_bits(mask)
     return tuple(p for p in range(bits.bit_length()) if bits >> p & 1)
 
 
@@ -71,18 +79,30 @@ def suffix_table(width: int, k: int) -> np.ndarray:
     return table
 
 
-def rows_meeting_threshold(member: np.ndarray, b_sets: np.ndarray, threshold: int) -> np.ndarray:
-    """For each candidate mask B, the number of row masks with >= threshold bits in B.
+def intersection_sizes(member: np.ndarray, b_sets: np.ndarray, block_words: int) -> np.ndarray:
+    """(rows, m) uint8: |row ∩ B| for every row mask and every candidate mask B.
 
-    member: (rows, words) uint64; b_sets: (m, words) uint64 over the same universe.
+    member: (rows, words) uint64; b_sets: (m, words) uint64 over the same
+    universe, whose sizes stay below 256 (suffix-table masks hold k bits). Rows
+    go in blocks, so that no uint64 temporary holds more than block_words
+    words (or m, if that is more).
     """
-    words = b_sets.shape[1]
-    out = np.zeros(len(b_sets), dtype=np.int32)  # a count never exceeds the row count
-    for row in member:
-        inter = np.bitwise_count(b_sets[:, 0] & row[0])
-        if words > 1:
-            inter = inter.astype(np.int64)  # a uint8 popcount sum could wrap past 255
-            for w in range(1, words):
-                inter += np.bitwise_count(b_sets[:, w] & row[w])
-        out += inter >= threshold
+    rows, words = member.shape
+    out = np.empty((rows, len(b_sets)), dtype=np.uint8)
+    step = max(1, block_words // max(1, len(b_sets)))
+    for i in range(0, rows, step):
+        block, sizes = member[i:i + step], out[i:i + step]
+        np.bitwise_count(block[:, None, 0] & b_sets[:, 0], out=sizes)
+        for w in range(1, words):
+            sizes += np.bitwise_count(block[:, None, w] & b_sets[:, w])
     return out
+
+
+def rows_meeting_threshold(needs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """For each candidate B, the number of rows r with sizes[B, r] >= needs[r].
+
+    needs: (rows,) integer thresholds; sizes: (m, rows) intersection sizes, such
+    as the transpose of a slice of `intersection_sizes`. Counts are summed in
+    the narrowest unsigned type that holds the row count.
+    """
+    return (sizes >= needs).sum(axis=1, dtype=np.min_scalar_type(len(needs)))

@@ -27,8 +27,11 @@ pass is a proof. Enumeration is budgeted by (B, row) membership checks; a
 scan past the budget is refused up front, by the generators before any
 draw, with VerificationBudgetError, which carries the checks and budget. A
 cap the rule passes is never refused. Rows and fault sets are uint64 bitsets
-(`_kernels`); fault sets are built in lex order as a prefix ORed onto a tail
-of a cached suffix table, in chunks of at most _TABLE masks.
+(`_kernels`). Each fault set, in lex order, is a prefix ORed onto a tail of a
+cached suffix table of at most _TABLE masks, so the scan runs in two steps:
+the sizes |row ∩ tail| for every row and table entry, once per scan; then
+per prefix, one threshold compare of those sizes against what each row
+still needs, skipping a prefix whose rows cannot reach the cap.
 
 Both objects come from one Las-Vegas loop (`_las_vegas`): sample uniformly,
 verify, resample on failure, one Random(seed) feeding the draws; the
@@ -62,13 +65,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonout import dumps
-from ._kernels import mask_positions, membership_matrix, rows_meeting_threshold, set_words, suffix_table
+from ._kernels import (intersection_sizes, mask_bits, mask_positions, membership_matrix, rows_meeting_threshold,
+                       suffix_table)
 from .params import ParamError, crusader_fault_bound, overload_quota
 
 DEFAULT_CHECK_BUDGET = 10_000_000
 DEFAULT_MAX_ATTEMPTS = 1000
 _CHUNK = 8192  # block size of the `checks` count on a failed scan
-_TABLE = 1 << 16  # most masks in one suffix table or one chunk
+_TABLE = 1 << 16  # most masks in one suffix table, and most words in one uint64 temporary
 VERIFY_MODES = ("exhaustive", "none")
 
 
@@ -160,54 +164,56 @@ def sample_without_replacement(rng: random.Random, pool: list[int], k: int) -> t
     return tuple(sorted(items[:k]))
 
 
-def _fault_set_chunks(width: int, size: int):
-    """Yield (rank of first, masks) chunks covering every size-subset of range(width) in lex order.
-
-    Each subset is a prefix (itertools, lex order) ORed onto a tail of the
-    cached suffix table of k-subsets: the suffixes that extend a prefix ending
-    at a are exactly the table rows with minimum > a, a tail slice. k is the
-    largest size whose table, and every smaller one, holds at most _TABLE
-    masks. Chunks are views of one buffer of at most _TABLE masks, which the
-    next chunk overwrites, so memory stays bounded.
-    """
-    k = 0
-    while k < size and math.comb(width, k + 1) <= _TABLE:
-        k += 1
-    table = suffix_table(width, k)
-    words = table.shape[1]
-    buf = np.empty((min(_TABLE, math.comb(width, size)), words), dtype=np.uint64)
-    rank = fill = 0
-    for prefix in itertools.combinations(range(width - k), size - k):
-        tail = table[len(table) - math.comb(width - prefix[-1] - 1, k):] if prefix else table
-        if fill + len(tail) > len(buf):
-            yield rank, buf[:fill]
-            rank, fill = rank + fill, 0
-        np.bitwise_or(tail, np.array(set_words(prefix, words), dtype=np.uint64),
-                      out=buf[fill:fill + len(tail)])
-        fill += len(tail)
-    if fill:
-        yield rank, buf[:fill]
-
-
 def _scan(rows, universe, size: int, quota: int, cap: int):
     """First size-subset B of the sorted `universe` (lex order) that cap or more rows meet
     in >= quota members, else None.
+
+    Each B is a prefix (itertools, lex order) ORed onto a tail of the cached
+    suffix table of k-subsets: the suffixes that extend a prefix ending at a
+    are exactly the table rows with minimum > a, a tail slice. k is the
+    largest size whose table, and every smaller one, holds at most _TABLE
+    masks. The sizes |row ∩ tail| are taken once per scan, for every row and
+    table entry. A prefix P then leaves row r a need of quota - |P ∩ row_r|
+    members in the tail: a row with need <= 0 meets the quota for every tail
+    and one with need > k for none. A prefix whose rows can reach the cap is
+    decided with one threshold compare per (tail, row that can still meet);
+    one whose rows cannot is skipped, an exact bound.
 
     Returns (witness, checks). `checks` keeps the count of an enumeration in
     blocks of _CHUNK fault sets: C(len(universe), size) * rows on a pass, and
     rows * min(C(len(universe), size), (rank // _CHUNK + 1) * _CHUNK) when
     the witness has lex rank `rank`.
     """
-    total = math.comb(len(universe), size)
+    width = len(universe)
+    total = math.comb(width, size)
     position = {p: i for i, p in enumerate(universe)}  # the verifiers refuse ids outside the universe
-    member = membership_matrix([[position[p] for p in row] for row in rows], len(universe))
-    for rank, chunk in _fault_set_chunks(len(universe), size):
-        counts = rows_meeting_threshold(member, chunk, quota)
-        bad = np.flatnonzero(counts >= cap)
-        if bad.size:
-            rank += int(bad[0])
-            witness = tuple(universe[p] for p in mask_positions(chunk[bad[0]]))
-            return witness, len(rows) * min(total, (rank // _CHUNK + 1) * _CHUNK)
+    member = membership_matrix([[position[p] for p in row] for row in rows], width)
+    row_bits = [mask_bits(mask) for mask in member.tolist()]
+    k = 0
+    while k < size and math.comb(width, k + 1) <= _TABLE:
+        k += 1
+    table = suffix_table(width, k)
+    sizes = intersection_sizes(member, table, _TABLE)  # (rows, len(table)) uint8
+    rank = 0  # lex rank of the prefix's first B
+    for prefix in itertools.combinations(range(width - k), size - k):
+        start = len(table) - math.comb(width - prefix[-1] - 1, k) if prefix else 0
+        bits = sum(1 << p for p in prefix)
+        always, live, needs = 0, [], []
+        for r, row in enumerate(row_bits):
+            need = quota - (bits & row).bit_count()
+            if need <= 0:
+                always += 1
+            elif need <= k:
+                live.append(r)
+                needs.append(need)
+        if always + len(live) >= cap:
+            counts = rows_meeting_threshold(np.array(needs, dtype=np.uint8), sizes[live, start:].T)
+            hit = np.flatnonzero(counts >= max(cap - always, 0))  # counts are unsigned
+            if hit.size:
+                rank += int(hit[0])
+                witness = tuple(universe[p] for p in prefix + mask_positions(table[start + hit[0]]))
+                return witness, len(rows) * min(total, (rank // _CHUNK + 1) * _CHUNK)
+        rank += len(table) - start
     return None, len(rows) * total
 
 

@@ -38,6 +38,7 @@ at its first honest output, or at report time.
 
 from __future__ import annotations
 
+import functools
 import gc
 from heapq import heappop, heappush
 import json
@@ -104,6 +105,17 @@ def _bucket_of(kind, size_bits):
     if kind == K_OPAQUE:
         return "opaque"
     return "bit" if size_bits == 1 else "tagged"
+
+
+@functools.lru_cache(maxsize=64)
+def _wire_table(tag_space: int, maj_tag_space: int):
+    """(instance spaces, sizes in bits, buckets) per kind, once per pair of a
+    protocol's spaces rather than per trial: MAJ instances range over
+    maj_tag_space, every other kind's over tag_space."""
+    spaces = tuple(maj_tag_space if kind == K_MAJ else tag_space for kind in range(len(KIND_NAMES)))
+    sizes = tuple(0 if values is None else tag_bits(space) + tag_bits(len(values))
+                  for space, values in zip(spaces, KIND_VALUES))
+    return spaces, sizes, tuple(_bucket_of(kind, size) for kind, size in enumerate(sizes))
 
 
 class StrategyViolation(RuntimeError):
@@ -357,11 +369,8 @@ class Simulation:
         self._byz_kind_count = [0] * len(KIND_NAMES)
         self._byz_bucket = {"bit": 0, "tagged": 0, "opaque": 0}
 
-        self._inst_space = [getattr(protocol, "tag_space", 1)] * len(KIND_NAMES)
-        self._inst_space[K_MAJ] = getattr(protocol, "maj_tag_space", 1)
-        self._kind_size = tuple(0 if values is None else tag_bits(space) + tag_bits(len(values))
-                                for space, values in zip(self._inst_space, KIND_VALUES))
-        self._kind_bucket = tuple(_bucket_of(kind, size) for kind, size in enumerate(self._kind_size))
+        self._inst_space, self._kind_size, self._kind_bucket = _wire_table(
+            getattr(protocol, "tag_space", 1), getattr(protocol, "maj_tag_space", 1))
         # largest delay delivered per sender while it was honest
         self._sender_max_delay = [0.0] * self.n
 

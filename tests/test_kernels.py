@@ -1,15 +1,27 @@
 import itertools
 import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coinforge import combinatorics
-from coinforge._kernels import mask_positions, membership_matrix, rows_meeting_threshold, suffix_table
+from coinforge._kernels import (
+    intersection_sizes,
+    mask_positions,
+    membership_matrix,
+    rows_meeting_threshold,
+    suffix_table,
+)
 from coinforge.combinatorics import (
     PublishGraph,
     _scan,
+    gen_committees,
+    gen_publish_graph,
     sample_without_replacement,
     verify_committees,
     verify_publish_graph,
@@ -17,31 +29,40 @@ from coinforge.combinatorics import (
 from coinforge.params import ParamError, crusader_fault_bound
 
 
-def _brute(rows, b_sets, threshold):
-    out = []
-    for b in b_sets:
-        bs = set(b)
-        out.append(sum(1 for r in rows if len(bs & set(r)) >= threshold))
-    return out
+def _random_rows(rng, n, count, size):
+    rows = [tuple(sorted(rng.sample(range(n), size))) for _ in range(count - 1)]
+    return rows + [tuple(range(n - size, n))]  # straddles the word boundary when n > 64
+
+
+@pytest.mark.parametrize("n,block_words", [(12, 1 << 16), (70, 1), (70, 5000), (130, 20000)])
+def test_intersection_sizes_match_bruteforce(n, block_words):
+    # multiword masks past 64 positions, and row blocks of one row or several
+    rng = random.Random(n)
+    rows = _random_rows(rng, n, 7, 9)
+    b_sets = list(itertools.combinations(range(n), 2)) + [tuple(range(n - 4, n))]
+    got = intersection_sizes(membership_matrix(rows, n), membership_matrix(b_sets, n), block_words)
+    assert got.dtype == np.uint8 and got.shape == (len(rows), len(b_sets))
+    assert got.tolist() == [[len(set(r) & set(b)) for b in b_sets] for r in rows]
 
 
 def test_kernel_matches_bruteforce():
     rng = random.Random(5)
-    for n in (12, 70):
-        rows = [tuple(sorted(rng.sample(range(n), 5))) for _ in range(7)]
-        rows.append(tuple(range(n - 5, n)))  # straddles the word boundary when n > 64
-        b_sets = list(itertools.combinations(range(n), 3))
-        member = membership_matrix(rows, n)
-        masks = membership_matrix(b_sets, n)
-        for threshold in (1.0, 1.5, 2.0, 5 / 3):
-            got = rows_meeting_threshold(member, masks, threshold)
-            assert got.tolist() == _brute(rows, b_sets, threshold)
+    for rows, m in ((1, 40), (7, 300), (300, 20)):  # 300 rows need a count wider than uint8
+        sizes = np.array([[rng.randint(0, 6) for _ in range(rows)] for _ in range(m)], dtype=np.uint8)
+        needs = np.array([rng.randint(1, 6) for _ in range(rows)], dtype=np.uint8)
+        got = rows_meeting_threshold(needs, sizes)
+        assert got.tolist() == [sum(int(v) >= int(t) for v, t in zip(row, needs)) for row in sizes]
+    sizes = np.full((3, 300), 5, dtype=np.uint8)
+    assert rows_meeting_threshold(np.full(300, 5, dtype=np.uint8), sizes).tolist() == [300] * 3
 
 
 def test_empty_b_sets():
     member = membership_matrix([(0, 1)], 3)
     empty = membership_matrix([()] * 4, 3)
-    assert rows_meeting_threshold(member, empty, 1.0).tolist() == [0, 0, 0, 0]
+    assert intersection_sizes(member, empty, 1 << 16).tolist() == [[0, 0, 0, 0]]
+    assert intersection_sizes(member, empty[:0], 1 << 16).shape == (1, 0)
+    no_rows = np.zeros((4, 0), dtype=np.uint8)  # no row can still meet its threshold
+    assert rows_meeting_threshold(np.zeros(0, dtype=np.uint8), no_rows).tolist() == [0, 0, 0, 0]
 
 
 def test_membership_matrix_shape():
@@ -65,15 +86,15 @@ def test_suffix_table_is_lex_order(width, k):
 # --- the exhaustive scan against an itertools reference ----------------------
 
 
-def _reference_scan(rows, universe, size, threshold, cap):
+def _reference_scan(rows, universe, size, threshold, cap, chunk=8192):
     """First violating B in lex order over `universe`, with the checks count of
-    an enumeration in blocks of 8192 fault sets."""
+    an enumeration in blocks of `chunk` fault sets."""
     total = math.comb(len(universe), size)
     row_sets = [set(r) for r in rows]
     for rank, b in enumerate(itertools.combinations(universe, size)):
         bs = set(b)
         if sum(1 for r in row_sets if len(r & bs) >= threshold) >= cap:
-            return b, len(rows) * min(total, (rank // 8192 + 1) * 8192)
+            return b, len(rows) * min(total, (rank // chunk + 1) * chunk)
     return None, len(rows) * total
 
 
@@ -122,6 +143,89 @@ def test_scan_full_pass_counts_every_check():
     assert _scan(rows, range(30), 4, 4.0, 1) == (None, 3 * math.comb(30, 4))
     assert _scan(rows, range(30), 0, 1.0, 1) == (None, 3)  # C(30, 0) = 1 fault set, the empty one
     assert _scan(rows, range(30), 4, 3.0, 3) == ((0, 1, 2, 3), 3 * 8192)
+
+
+@st.composite
+def _scan_cases(draw):
+    """Rows, universe, size, quota, cap and a suffix-table limit for `_scan`.
+
+    The universe is range(width) or a sorted set of ids below 300, up to 70
+    wide so that masks take two words. Sizes keep C(width, size) at most 3000
+    so that the reference stays quick; a table limit below C(width, size)
+    makes k < size, so the scan walks many prefixes, and the largest limit
+    gives k = size, one empty prefix. A small block size for the `checks`
+    count makes that count tell the witness's rank.
+    """
+    width = draw(st.integers(1, 70))
+    if draw(st.booleans()):
+        universe = range(width)
+    else:
+        universe = sorted(draw(st.sets(st.integers(0, 299), min_size=width, max_size=width)))
+    size = draw(st.sampled_from([s for s in range(width + 1) if math.comb(width, s) <= 3000]))
+    row_size = draw(st.integers(1, width))
+    rows = draw(st.lists(st.permutations(list(universe)).map(lambda p: tuple(sorted(p[:row_size]))),
+                         min_size=1, max_size=8))
+    quota = draw(st.integers(1, row_size))
+    cap = draw(st.integers(1, len(rows)))
+    limit = draw(st.sampled_from([1, 4, 64, 1 << 16]))
+    chunk = draw(st.sampled_from([1, 7, 8192]))
+    return rows, universe, size, quota, cap, limit, chunk
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_scan_cases())
+def test_scan_matches_reference_property(case):
+    rows, universe, size, quota, cap, limit, chunk = case
+    with mock.patch.object(combinatorics, "_TABLE", limit), mock.patch.object(combinatorics, "_CHUNK", chunk):
+        got = _scan(rows, universe, size, quota, cap)
+    assert got == _reference_scan(rows, list(universe), size, quota, cap, chunk)
+
+
+def test_exact_bound_skips_prefixes_before_a_deep_witness(monkeypatch):
+    # width 24, size 6: k = 5 and one prefix per first element. Two copies of the
+    # committee (18..23) with quota 6 meet a prefix (f,) with f < 18 in no member,
+    # so each needs 6 > k tail members and every earlier prefix is skipped
+    # without a compare; the witness is the last B, past 16 blocks of _CHUNK
+    calls = []
+    kernel = combinatorics.rows_meeting_threshold
+    monkeypatch.setattr(combinatorics, "rows_meeting_threshold",
+                        lambda needs, sizes: calls.append(sizes.shape) or kernel(needs, sizes))
+    rows = [tuple(range(18, 24))] * 2
+    got = _scan(rows, range(24), 6, 6, 2)
+    assert got == _reference_scan(rows, list(range(24)), 6, 6, 2) == (tuple(range(18, 24)), 2 * math.comb(24, 6))
+    assert calls == [(1, 2)]  # only the prefix (18,), whose one tail is (19..23)
+
+    # a quota one lower leaves each row a need of 5 <= k from the first prefix on,
+    # so the first prefix (0,) is compared over its whole tail and holds the witness
+    calls.clear()
+    got = _scan(rows, range(24), 6, 5, 2)
+    assert got == _reference_scan(rows, list(range(24)), 6, 5, 2)
+    assert got[0] == (0, 18, 19, 20, 21, 22)
+    assert calls == [(math.comb(23, 5), 2)]
+
+
+def _layout_point():
+    n, q, s, c, d, delta = 32, 9, 16, 4, 6, 9
+    layout = gen_committees(n, q, s, 0.3333, 0.125, c, seed=5, verify_mode="none")
+    graph = gen_publish_graph(layout.committees[0], n, d, delta, seed=0, verify_mode="none")
+    return (lambda: verify_committees(layout.committees, n, 0.3333, 0.125, c),
+            lambda: verify_publish_graph(graph, layout.committees[0], d))
+
+
+@pytest.mark.parametrize("scan", [0, 1], ids=["committees", "graph"])
+def test_scan_memory_at_the_layout_point(scan):
+    # the benchmark's layout point (n=32, q=9, s=16, c=4; d=6, delta=9): one scan's
+    # peak traced allocation, after a first call has built the cached suffix table
+    call = _layout_point()[scan]
+    res = call()
+    assert res.enumerated
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 def test_unscanned_passes_have_no_witness_in_the_reference_scan():
