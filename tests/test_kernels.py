@@ -29,16 +29,12 @@ from coinforge.combinatorics import (
 from coinforge.params import ParamError, crusader_fault_bound
 
 
-def _random_rows(rng, n, count, size):
-    rows = [tuple(sorted(rng.sample(range(n), size))) for _ in range(count - 1)]
-    return rows + [tuple(range(n - size, n))]  # straddles the word boundary when n > 64
-
-
 @pytest.mark.parametrize("n,block_words", [(12, 1 << 16), (70, 1), (70, 5000), (130, 20000)])
 def test_intersection_sizes_match_bruteforce(n, block_words):
     # multiword masks past 64 positions, and row blocks of one row or several
     rng = random.Random(n)
-    rows = _random_rows(rng, n, 7, 9)
+    rows = [tuple(sorted(rng.sample(range(n), 9))) for _ in range(6)]
+    rows.append(tuple(range(n - 9, n)))  # straddles the word boundary when n > 64
     b_sets = list(itertools.combinations(range(n), 2)) + [tuple(range(n - 4, n))]
     got = intersection_sizes(membership_matrix(rows, n), membership_matrix(b_sets, n), block_words)
     assert got.dtype == np.uint8 and got.shape == (len(rows), len(b_sets))
