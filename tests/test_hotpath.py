@@ -14,6 +14,7 @@ from coinforge.params import publish_degree
 from coinforge.protocols import BenorCoinProtocol, CrusaderProtocol, PublishProtocol
 from coinforge.simnet import (
     AdversaryAction,
+    K_CRUS_VAL,
     K_MAJ,
     Simulation,
     dump_event_log,
@@ -32,11 +33,87 @@ def _publish_protocol():
     return PublishProtocol(committee, 16, graph, {m: 1 for m in committee})
 
 
+class TieShuffler(Strategy):
+    """Lands events on instants that already hold some, and on the running one.
+
+    Delays come from a coarse grid, so many events share an instant. At the
+    first poll it corrupts committee 0's lowest member and drops every other
+    pending envelope of it. Every twentieth poll before time 1.5 it then
+    re-times a pending envelope onto an occupied instant and one onto
+    view.now, injects at an occupied instant and at now, and re-times an
+    honest member of an unfair coin onto an occupied instant with a chosen bit.
+    """
+
+    reactive = True
+
+    def bind(self, view, rng):
+        super().bind(view, rng)
+        self.at = {}  # envelope id -> the delivery time this strategy gave it
+        self.coin_at = {}  # (coin instance, member) -> its output time
+        self.queue = []
+        self.polls = 0
+
+    def delay_for(self, env):
+        delay = self.rng.choice((0.25, 0.5, 1.0))
+        self.at[env.id] = env.sent_at + delay
+        return delay
+
+    def coin_offsets(self, spec, view):
+        offsets = {m: 0.5 if m % 2 else spec.R for m in spec.members}
+        self.coin_at.update(((spec.inst, m), t) for m, t in offsets.items())
+        return offsets
+
+    def next_action(self, view):
+        self.polls += 1
+        if self.polls == 1:
+            self.victim = min(view.protocol.layout.committees[0])
+            theirs = [env.id for env in view.pending_envelopes() if env.sender == self.victim]
+            self.queue = [AdversaryAction.corrupt(self.victim)] + [AdversaryAction.drop(eid) for eid in theirs[::2]]
+        elif not self.queue and self.polls % 20 == 0:
+            if view.now >= 1.5:
+                self.reactive = False
+                return None
+            self._shuffle(view)
+        return self.queue.pop(0) if self.queue else None
+
+    def _shuffle(self, view):
+        now, rng = view.now, self.rng
+        pending = [env for env in view.pending_envelopes() if env.id in self.at]
+        occupied = sorted({self.at[env.id] for env in pending} | {t for t in self.coin_at.values() if t >= now})
+        honest = [env for env in pending if env.sender != self.victim]
+        if honest:
+            env = rng.choice(honest)
+            fits = [t for t in occupied if env.sent_at < t <= env.sent_at + 1.0]
+            if fits:
+                self.at[env.id] = t = rng.choice(fits)
+                self.queue.append(AdversaryAction.delay(env.id, t))
+        ready = [env for env in pending if env.sent_at < now or env.sender == self.victim]
+        if ready:
+            env = rng.choice(ready)
+            self.at[env.id] = now
+            self.queue.append(AdversaryAction.delay(env.id, now))
+        recipient = rng.randrange(view.n)
+        self.queue.append(AdversaryAction.inject(
+            {"sender": self.victim, "recipient": recipient, "inst": 0, "kind": K_MAJ,
+             "payload": rng.getrandbits(1)}, rng.choice(occupied or [now])))
+        self.queue.append(AdversaryAction.inject(
+            {"sender": self.victim, "recipient": recipient, "inst": rng.randrange(view.protocol.q),
+             "kind": K_CRUS_VAL, "payload": rng.getrandbits(1)}, now))
+        waiting = [key for key, t in sorted(self.coin_at.items())
+                   if t > now and key[1] != self.victim and not view.coin_truth(key[0])[0]]
+        spots = [t for t in occupied if t <= 1.0]
+        if waiting and spots:
+            key = rng.choice(waiting)
+            self.coin_at[key] = t = rng.choice(spots)
+            self.queue.append(AdversaryAction.coin_set(*key, t, bit=rng.getrandbits(1)))
+
+
 def _scenarios():
     """name -> (protocol, strategy factory, Simulation keywords)."""
     transform = small_transform()[-1]
     benor_transform = small_transform(coin_mode="benor", layout_seed=17)[-1]
     benor_multitoss = small_transform(coin_mode="benor", layout_seed=17, ell=3)[-1]
+    half_fair = small_transform(delta=0.5)[-1]
     return {
         "fifo": (transform, FifoStrategy, {}),
         "random_delay": (transform, RandomDelayStrategy, {}),
@@ -54,6 +131,7 @@ def _scenarios():
         "publish_corrupter": (_publish_protocol(), lambda: PublishCorrupter([0, 1]), {"t_budget": 2}),
         "benor_transform": (benor_transform, RandomDelayStrategy, {}),
         "benor_multitoss": (benor_multitoss, FifoStrategy, {}),
+        "tie_order": (half_fair, TieShuffler, {"t_budget": 1}),
     }
 
 
@@ -100,6 +178,10 @@ GOLDEN = {
                         "99edaa56034e4eef52efe79baef3c0513eaa12c32568d0754f1d4950f3c2b6da"),
     "benor_multitoss": ("e5ff76b4910eeb32b4a0c94cdc42477588a847cb7390f23bcefb90bb3416ac03",
                         "95cd952a85ed7e158d4ca07b46a97c65c332dbece065dcdd800e06443bad8123"),
+    # many events per instant, re-timed, injected and coin-set onto occupied
+    # instants and onto now; recorded with the per-message (time, seq) heap
+    "tie_order": ("541b728dc5f2a79d9917119e8b1242712e8923f019a16b926b89501af337161a",
+                  "dc69e4e084d60be9815647b26fa08710333864a1a01e92a16bee0f29de4f8fce"),
 }
 
 
