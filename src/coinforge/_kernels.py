@@ -33,18 +33,11 @@ def words_for(width: int) -> int:
     return max(1, -(-width // 64))
 
 
-def set_words(positions, words: int) -> list[int]:
-    """The mask of a set of positions as `words` uint64 values, low word first."""
-    bits = 0
-    for p in positions:
-        bits |= 1 << p
-    return [(bits >> (64 * w)) & 0xFFFF_FFFF_FFFF_FFFF for w in range(words)]
-
-
-def membership_matrix(rows, width: int) -> np.ndarray:
-    """(len(rows), words) uint64 masks from per-row position lists in [0, width)."""
+def membership_matrix(row_bits, width: int) -> np.ndarray:
+    """(len(row_bits), words) uint64 masks from per-row Python int masks over [0, width)."""
     words = words_for(width)
-    return np.array([set_words(ids, words) for ids in rows], dtype=np.uint64).reshape(len(rows), words)
+    data = b"".join(bits.to_bytes(8 * words, "little") for bits in row_bits)
+    return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(row_bits), words)
 
 
 def mask_bits(mask) -> int:

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonout import dumps
-from ._kernels import (intersection_sizes, mask_bits, mask_positions, membership_matrix, rows_meeting_threshold,
+from ._kernels import (intersection_sizes, mask_positions, membership_matrix, rows_meeting_threshold,
                        suffix_table)
 from .params import ParamError, crusader_fault_bound, overload_quota
 
@@ -186,9 +186,14 @@ def _scan(rows, universe, size: int, quota: int, cap: int):
     """
     width = len(universe)
     total = math.comb(width, size)
-    position = {p: i for i, p in enumerate(universe)}  # the verifiers refuse ids outside the universe
-    member = membership_matrix([[position[p] for p in row] for row in rows], width)
-    row_bits = [mask_bits(mask) for mask in member.tolist()]
+    bit = {p: 1 << i for i, p in enumerate(universe)}  # the verifiers refuse ids outside the universe
+    row_bits = []
+    for row in rows:
+        mask = 0
+        for p in row:
+            mask |= bit[p]
+        row_bits.append(mask)
+    member = membership_matrix(row_bits, width)
     k = 0
     while k < size and math.comb(width, k + 1) <= _TABLE:
         k += 1

@@ -7,10 +7,16 @@ from honest senders have a hard delivery deadline of 1 virtual time unit, which
 realizes eventual delivery in finite runs; all reported latencies are
 normalized by the maximum honest-sender delivery delay actually used.
 
-The virtual clock is dyadic-rational valued, stored in binary64 (exact for the
-1/256-grid delays the built-in strategies use), so identical (protocol,
-strategy, seed) triples replay byte-identically. One simulation instance is
-strictly single-threaded; independent trials share no mutable state.
+The virtual clock is dyadic-rational valued and binary64: every time that
+enters the run (a coin's R and output offsets, a delay_for answer, a delay,
+inject or coin_set time) is converted with float() at the boundary, and -0.0
+is stored as 0.0, so an int 1 and 1.0 give the same bytes. It is exact for
+the 1/256-grid delays the built-in strategies use, so identical (protocol,
+strategy, seed) triples replay byte-identically. Events run in order of time,
+then in the order they were scheduled; one scheduled for the running instant
+runs in the same instant, after every event already there. One simulation
+instance is strictly single-threaded; independent trials share no mutable
+state.
 
 Channels are authenticated: the harness stamps true sender ids and corrupted
 parties can forge content but never origin. Secure channels are the default:
@@ -44,6 +50,7 @@ from heapq import heappop, heappush
 import json
 import math
 import random
+import weakref
 from dataclasses import dataclass
 
 from .params import ParamError, tag_bits
@@ -122,10 +129,11 @@ class StrategyViolation(RuntimeError):
     """The adversary strategy broke a model rule (budget, drop, forgery...)."""
 
 
-def _check_time(what, t):
-    """A time is a finite int or float, not a bool."""
+def _time(what, t):
+    """A time is a finite int or float, not a bool; it is kept as a binary64, with -0.0 as 0.0."""
     if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
         raise StrategyViolation(f"{what} {t!r} is not a finite number")
+    return float(t) or 0.0
 
 
 def _check_id(what, x, count):
@@ -200,6 +208,9 @@ class CoinSpec:
     R: float
     bad_threshold: int  # corrupted members >= this quota (`params.overload_quota`) void the fairness contract
 
+    def __post_init__(self):
+        self.R = float(self.R)  # an int R must not put int times on the clock
+
 
 class CoinInstance:
     """Per-trial state of one committee coin oracle. Every instance activates
@@ -230,10 +241,11 @@ class CoinInstance:
 
 class AdversaryView:
     """What the adversary may observe: a live window onto the simulation,
-    detached when its run() returns."""
+    detached when its run() returns. It holds the simulation weakly, so a
+    simulation that is built but never run holds no cycle through its view."""
 
     def __init__(self, sim):
-        self._sim = sim
+        self._sim = weakref.proxy(sim)
 
     @property
     def now(self):
@@ -353,8 +365,11 @@ class Simulation:
         self.n = protocol.n
         self.rng = RngStream(mix64(seed, 0))
         self.now = 0.0
-        self._seq = 0
-        self._heap = []
+        # the queue of instants: a heap of the distinct pending times, and each
+        # time's events in scheduling order, an envelope id or a coin output's
+        # (instance index, member)
+        self._times = []
+        self._instants = {}
         self.envelopes: list[Envelope] = []
         self._sched: dict[int, float] = {}  # env id -> scheduled delivery, while pending
         self.corrupted: set[int] = set()
@@ -391,18 +406,22 @@ class Simulation:
             self.coin_instances.append(ci)
             offsets = strategy.coin_offsets(spec, self.view) or {}
             for member in spec.members:
-                off = offsets.get(member, spec.R)
-                _check_time("coin output offset", off)
+                off = _time("coin output offset", offsets.get(member, spec.R))
                 if not (0.0 < off <= spec.R):
                     raise StrategyViolation("coin output offset outside (0, R]")
                 ci.offsets[member] = off
-                self._push(off, 1, (idx, member))
+                self._push(off, (idx, member))
 
     # -- scheduling primitives ------------------------------------------------
 
-    def _push(self, time, etype, arg):
-        self._seq += 1
-        heappush(self._heap, (time, self._seq, etype, arg))
+    def _push(self, time, event):
+        """Schedule `event` at `time`, after every event already at that instant."""
+        batch = self._instants.get(time)
+        if batch is None:
+            self._instants[time] = [event]
+            heappush(self._times, time)
+        else:
+            batch.append(event)
 
     def _emit(self, sender, msgs):
         """Send each (recipients, inst, kind, payload) batch of an honest sender, counted once per batch.
@@ -413,12 +432,12 @@ class Simulation:
         if not msgs:
             return
         kind_count, kind_size = self._kind_count, self._kind_size
-        envelopes, sched, heap = self.envelopes, self._sched, self._heap
+        envelopes, sched, times, instants = self.envelopes, self._sched, self._times, self._instants
         append, delay_for, deadline = envelopes.append, self._delay_for, DEADLINE
         log = self.log
         now = self.now
-        seq = self._seq
         eid = len(envelopes)
+        last_t = batch = None  # the instant of the previous envelope and its event list
         for recipients, inst, kind, payload in msgs:
             size = kind_size[kind]
             kind_count[kind] += len(recipients)
@@ -432,18 +451,22 @@ class Simulation:
                     if delay is None:
                         delay = deadline
                     elif type(delay) is not float:  # a float needs only the range check
-                        _check_time("delay", delay)
+                        delay = _time("delay", delay)
                     if not (0.0 < delay <= deadline):
                         raise StrategyViolation(f"delay {delay} outside (0, {DEADLINE}]")
                     t = now + delay
                 sched[eid] = t
-                seq += 1
-                heappush(heap, (t, seq, 0, eid))
+                if t != last_t:
+                    batch = instants.get(t)
+                    if batch is None:
+                        batch = instants[t] = []
+                        heappush(times, t)
+                    last_t = t
+                batch.append(eid)
                 if log is not None:
                     log.append({"time": now, "kind": "send", "envelope_id": eid,
                                      "detail": f"{sender}->{r} {KIND_NAMES[kind]}/{inst} p={payload}"})
                 eid += 1
-        self._seq = seq
 
     # -- adversary actions -----------------------------------------------------
 
@@ -474,8 +497,7 @@ class Simulation:
             env = self.envelopes[act.envelope_id]
             if env.id not in self._sched:
                 raise StrategyViolation("envelope already delivered or dropped")
-            t = act.time
-            _check_time("delivery time", t)
+            t = _time("delivery time", act.time)
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
             if env.sender not in self.corrupted:
@@ -484,7 +506,7 @@ class Simulation:
                     raise StrategyViolation("honest-sender delivery must land in (sent, sent+1], "
                                             "a self-delivery also at sent")
             self._sched[env.id] = t
-            self._push(t, 0, env.id)
+            self._push(t, env.id)
         elif kind == "inject":
             msg = act.message
             if not isinstance(msg, dict) or not {"sender", "recipient", "kind", "payload"} <= msg.keys():
@@ -503,8 +525,7 @@ class Simulation:
             size = msg.get("size_bits", self._kind_size[kind])
             if type(size) is not int or size < 1:
                 raise StrategyViolation("injected messages need an integer size_bits >= 1")
-            t = self.now + MIN_DELAY if act.time is None else act.time
-            _check_time("delivery time", t)
+            t = _time("delivery time", self.now + MIN_DELAY if act.time is None else act.time)
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
             eid = len(self.envelopes)
@@ -513,7 +534,7 @@ class Simulation:
             self._byz_kind_count[kind] += 1
             self._byz_bucket[_bucket_of(kind, size)] += 1
             self._sched[eid] = t
-            self._push(t, 0, eid)
+            self._push(t, eid)
         elif kind == "coin_set":
             _check_id("coin instance", act.instance, len(self.coin_instances))
             ci = self.coin_instances[act.instance]
@@ -528,15 +549,15 @@ class Simulation:
                     raise StrategyViolation("cannot assign outputs of a fair coin instance")
                 ci.assigned[member] = act.bit
             if act.time is not None:
-                _check_time("coin output time", act.time)
-                if not (0.0 < act.time <= ci.spec.R):
+                t = _time("coin output time", act.time)
+                if not (0.0 < t <= ci.spec.R):
                     raise StrategyViolation("coin output time outside (0, R]")
-                if act.time < self.now:
+                if t < self.now:
                     raise StrategyViolation("cannot schedule into the past")
                 if member in ci.output_times:
                     raise StrategyViolation("coin output already delivered")
-                ci.offsets[member] = act.time
-                self._push(act.time, 1, (act.instance, member))
+                ci.offsets[member] = t
+                self._push(t, (act.instance, member))
         else:
             raise StrategyViolation(f"unknown action kind {kind!r}")
 
@@ -558,8 +579,7 @@ class Simulation:
         try:
             return self._run()
         finally:
-            # drop the view's back-reference: a finished run holds no sim <-> view
-            # cycle, so it is freed by reference counting, even if a strategy kept the view
+            # detach the view: a strategy that kept it cannot read the finished run
             self.view._sim = None
 
     def _run(self):
@@ -569,63 +589,69 @@ class Simulation:
         self._delay_for = strategy.delay_for
         for pid, party in enumerate(self.parties):
             self._emit(pid, party.on_start())
-        # a reactive strategy is polled after every event until it turns
-        # `reactive` off; that is one-way, it is never polled again
+        # a reactive strategy is polled after every delivery or coin output (not
+        # after a stale entry) until it turns `reactive` off; that is one-way,
+        # it is never polled again
         reactive = getattr(strategy, "reactive", False)
         if reactive:
             self._adversary_phase()
             reactive = strategy.reactive
-        heap, envelopes, sched = self._heap, self.envelopes, self._sched
+        times, instants = self._times, self._instants
+        envelopes, sched, coin_instances = self.envelopes, self._sched, self.coin_instances
         corrupted, parties, output_times = self.corrupted, self.parties, self.output_times
         sender_max_delay = self._sender_max_delay
         log = self.log
-        while heap:
-            self.events += 1
-            if self.events > MAX_EVENTS:
-                raise RuntimeError("event budget exhausted; protocol likely not quiescing")
-            t, _, etype, arg = heappop(heap)
-            if etype == 0:
-                if sched.get(arg) != t:
-                    continue  # stale heap entry: re-timed, dropped or delivered
-                env = envelopes[arg]
-                self.now = t
-                env.delivered_at = t
-                del sched[arg]
-                if log is not None:
-                    log.append({"time": t, "kind": "deliver", "envelope_id": arg, "detail": ""})
-                rec, sender = env.recipient, env.sender
-                if sender not in corrupted:  # a self-delivery re-timed past its send instant counts too
-                    delay = t - env.sent_at
-                    if delay > sender_max_delay[sender]:
-                        sender_max_delay[sender] = delay
-                if rec not in corrupted:
-                    party = parties[rec]
-                    msgs = party.on_message(env)
-                    if msgs:
-                        self._emit(rec, msgs)
-                    if party.output is not None and output_times[rec] is None:
-                        self._decided(rec, t)
-            else:
-                idx, member = arg
-                ci = self.coin_instances[idx]
-                self.now = t
-                if member in ci.output_times or member in corrupted:
-                    continue
-                if ci.offsets[member] != t:
-                    continue  # re-timed; stale entry
-                fair = ci.resolve(corrupted)
-                bit = ci.b_star if fair else ci.assigned.get(member, 0)
-                ci.output_times[member] = t
-                if log is not None:
-                    log.append({"time": t, "kind": "coin", "party": member,
-                                "detail": f"inst={ci.spec.inst} bit={bit} fair={fair}"})
-                party = parties[member]
-                self._emit(member, party.on_coin(ci.spec.inst, bit))
-                if party.output is not None and output_times[member] is None:
-                    self._decided(member, t)
-            if reactive:
-                self._adversary_phase()
-                reactive = strategy.reactive
+        events, max_events = self.events, MAX_EVENTS
+        while times:
+            t = heappop(times)
+            self.now = t
+            # the walk also reaches the events appended to this instant while it runs
+            for event in instants[t]:
+                events += 1  # per event: a zero-delay loop spins inside one instant
+                if events > max_events:
+                    raise RuntimeError("event budget exhausted; protocol likely not quiescing")
+                if type(event) is int:
+                    if sched.get(event) != t:
+                        continue  # stale entry: re-timed, dropped or delivered
+                    env = envelopes[event]
+                    env.delivered_at = t
+                    del sched[event]
+                    if log is not None:
+                        log.append({"time": t, "kind": "deliver", "envelope_id": event, "detail": ""})
+                    rec, sender = env.recipient, env.sender
+                    if sender not in corrupted:  # a self-delivery re-timed past its send instant counts too
+                        delay = t - env.sent_at
+                        if delay > sender_max_delay[sender]:
+                            sender_max_delay[sender] = delay
+                    if rec not in corrupted:
+                        party = parties[rec]
+                        msgs = party.on_message(env)
+                        if msgs:
+                            self._emit(rec, msgs)
+                        if party.output is not None and output_times[rec] is None:
+                            self._decided(rec, t)
+                else:
+                    idx, member = event
+                    ci = coin_instances[idx]
+                    if member in ci.output_times or member in corrupted:
+                        continue
+                    if ci.offsets[member] != t:
+                        continue  # re-timed; stale entry
+                    fair = ci.resolve(corrupted)
+                    bit = ci.b_star if fair else ci.assigned.get(member, 0)
+                    ci.output_times[member] = t
+                    if log is not None:
+                        log.append({"time": t, "kind": "coin", "party": member,
+                                    "detail": f"inst={ci.spec.inst} bit={bit} fair={fair}"})
+                    party = parties[member]
+                    self._emit(member, party.on_coin(ci.spec.inst, bit))
+                    if party.output is not None and output_times[member] is None:
+                        self._decided(member, t)
+                if reactive:
+                    self._adversary_phase()
+                    reactive = strategy.reactive
+            del instants[t]
+        self.events = events
         return self._report()
 
     def _decided(self, pid, t):

@@ -9,7 +9,8 @@ A strategy sees the run only through an AdversaryView, one channel per decision:
     delivery delay in (0, 1]; None means the 1-unit deadline. This is sugar
     for an immediate "delay" action and keeps the common path cheap.
   * coin_offsets(spec, view) times an instance's coin outputs at activation.
-  * next_action(view) is polled after every event while it returns actions
+  * next_action(view) is polled after every delivery or coin output (a stale
+    queue entry polls no one) while it returns actions
     (corrupt / drop / delay / inject / coin_set); None means "nothing now".
     delay(eid, view.now) delivers at once; coin_set(..., bit=b) alone picks
     an unfair coin member's output (0 otherwise). Only strategies with

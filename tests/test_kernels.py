@@ -29,6 +29,11 @@ from coinforge.combinatorics import (
 from coinforge.params import ParamError, crusader_fault_bound
 
 
+def _matrix(rows, width):
+    """membership_matrix of per-row position lists."""
+    return membership_matrix([sum(1 << p for p in set(row)) for row in rows], width)
+
+
 @pytest.mark.parametrize("n,block_words", [(12, 1 << 16), (70, 1), (70, 5000), (130, 20000)])
 def test_intersection_sizes_match_bruteforce(n, block_words):
     # multiword masks past 64 positions, and row blocks of one row or several
@@ -36,7 +41,7 @@ def test_intersection_sizes_match_bruteforce(n, block_words):
     rows = [tuple(sorted(rng.sample(range(n), 9))) for _ in range(6)]
     rows.append(tuple(range(n - 9, n)))  # straddles the word boundary when n > 64
     b_sets = list(itertools.combinations(range(n), 2)) + [tuple(range(n - 4, n))]
-    got = intersection_sizes(membership_matrix(rows, n), membership_matrix(b_sets, n), block_words)
+    got = intersection_sizes(_matrix(rows, n), _matrix(b_sets, n), block_words)
     assert got.dtype == np.uint8 and got.shape == (len(rows), len(b_sets))
     assert got.tolist() == [[len(set(r) & set(b)) for b in b_sets] for r in rows]
 
@@ -53,20 +58,26 @@ def test_kernel_matches_bruteforce():
 
 
 def test_empty_b_sets():
-    member = membership_matrix([(0, 1)], 3)
-    empty = membership_matrix([()] * 4, 3)
+    member = _matrix([(0, 1)], 3)
+    empty = _matrix([()] * 4, 3)
     assert intersection_sizes(member, empty, 1 << 16).tolist() == [[0, 0, 0, 0]]
     assert intersection_sizes(member, empty[:0], 1 << 16).shape == (1, 0)
     no_rows = np.zeros((4, 0), dtype=np.uint8)  # no row can still meet its threshold
     assert rows_meeting_threshold(np.zeros(0, dtype=np.uint8), no_rows).tolist() == [0, 0, 0, 0]
 
 
-def test_membership_matrix_shape():
-    m = membership_matrix([(0, 2), (1,)], 4)
-    assert m.dtype == np.uint64 and m.tolist() == [[0b101], [0b10]]
-    wide = membership_matrix([(0, 63, 64, 65)], 66)
-    assert wide.tolist() == [[1 | 1 << 63, 0b11]]
-    assert mask_positions(wide[0]) == (0, 63, 64, 65)
+def test_membership_matrix_matches_bruteforce():
+    # bit p of a row's int mask is bit p % 64 of word p // 64, low word first
+    rng = random.Random(5)
+    for width in (1, 4, 63, 64, 65, 66, 130, 192):
+        rows = [(), tuple(range(width)), tuple(sorted({0, width - 1}))] + [
+            tuple(sorted(rng.sample(range(width), rng.randint(1, width)))) for _ in range(5)]
+        m = membership_matrix([sum(1 << p for p in row) for row in rows], width)
+        words = -(-width // 64)
+        assert m.dtype == np.uint64 and m.shape == (len(rows), words) and m.flags.writeable
+        assert [tuple(p for p in range(64 * words) if int(mask[p // 64]) >> (p % 64) & 1) for mask in m] == rows
+        assert [mask_positions(mask) for mask in m] == rows
+        assert membership_matrix([], width).shape == (0, words)
 
 
 @pytest.mark.parametrize("width,k", [(5, 0), (6, 1), (9, 4), (12, 3), (70, 2)])

@@ -86,6 +86,20 @@ def test_view_is_detached_after_run():
         strategy.view.now
 
 
+@pytest.mark.parametrize("name", sorted(_scenarios()))
+def test_an_unrun_simulation_is_freed_by_reference_counting(name, collector_paused):
+    # the view holds the simulation weakly, so no cycle runs through it before run()
+    protocol, make_strategy, kw = _scenarios()[name]
+    strategy = make_strategy()
+    gc.collect()
+    sim = Simulation(protocol, strategy, mix64(1, 1000), **kw)
+    assert sim.view.now == 0.0
+    ref = weakref.ref(sim)
+    del sim
+    assert ref() is None
+    assert gc.collect() == 0
+
+
 # --- run_simulation restores the caller's collector state ----------------------
 
 

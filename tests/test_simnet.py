@@ -245,8 +245,8 @@ class Script(Strategy):
 class CoinPingProtocol(PingProtocol):
     """PingProtocol plus one oracle coin among parties 0, 1 and 2, with R = 1."""
 
-    def __init__(self, delta=1.0, bad_threshold=1.0):
-        self.coin_specs = [CoinSpec(0, (0, 1, 2), delta, 1.0, bad_threshold)]
+    def __init__(self, delta=1.0, bad_threshold=1.0, R=1.0):
+        self.coin_specs = [CoinSpec(0, (0, 1, 2), delta, R, bad_threshold)]
 
 
 def now(act):
@@ -458,6 +458,58 @@ def test_a_delayed_self_delivery_counts_toward_max_delay():
     rep = run_simulation(PingProtocol(), Script(now(A.delay(0, 0.25)), delay=0.125), seed=1)
     assert rep.output_times == [0.25, 0.125, 0.125, 0.125]
     assert rep.max_delay == 0.25 and rep.latency == 1.0
+
+
+def _bytes(protocol, strategy, **kw):
+    log = []
+    rep = run_simulation(protocol, strategy, seed=1, log=log, **kw)
+    return report_json(rep), dump_event_log(log)
+
+
+@pytest.mark.parametrize("zero,one", [(0, 1), (-0.0, 1.0)], ids=["ints", "negative-zero"])
+def test_every_time_is_stored_as_a_binary64(zero, one):
+    # an int R, offset, delay answer or action time, and a -0.0, give the bytes of 0.0 and 1.0
+    def script(zero, one):
+        steps = (A.corrupt(3), A.inject({**PING, "sender": 3}, zero), A.coin_set(0, 2, one), A.delay(3, one))
+        return Script(*map(now, steps), offsets={0: one}, delay=one)
+
+    want = _bytes(CoinPingProtocol(), script(0.0, 1.0), t_budget=1)
+    assert _bytes(CoinPingProtocol(R=one), script(zero, one), t_budget=1) == want
+    assert '"time": 0.0' in want[1] and '"time": 1.0' in want[1]
+
+
+@pytest.mark.parametrize("spec", ["fifo", "random_delay"])
+def test_an_int_R_gives_the_bytes_of_a_float_R(spec):
+    runs = [_bytes(small_transform(R=R)[-1], build_strategy(parse_strategy_spec(spec))) for R in (1, 1.0)]
+    assert runs[0] == runs[1]
+
+
+class SelfLoop(PingProtocol):
+    """Party 0 answers every delivery to itself with another zero-delay self-send."""
+
+    def make_party(self, pid, ctx):
+        class P:
+            output = None
+
+            def on_start(self):
+                return [((0,), 0, K_MAJ, 1)] if pid == 0 else []
+
+            def on_message(self, env):
+                return [((0,), 0, K_MAJ, 1)]
+
+            def on_coin(self, inst, bit):
+                return []
+
+        return P()
+
+
+def test_a_run_that_never_quiesces_exhausts_the_event_budget(monkeypatch):
+    # every self-send lands on the running instant, so the budget is checked per event, not per instant
+    monkeypatch.setattr(simnet, "MAX_EVENTS", 1000)
+    sim = Simulation(SelfLoop(), FifoStrategy(), seed=1)
+    with pytest.raises(RuntimeError, match="event budget exhausted"):
+        sim.run()
+    assert len(sim.envelopes) == 1001 and sim.now == 0.0
 
 
 def _coin_outputs(protocol, strategy):
