@@ -40,14 +40,9 @@ def membership_matrix(row_bits, width: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(row_bits), words)
 
 
-def mask_bits(mask) -> int:
-    """One (words,) mask, an array or a list of words, as a Python int."""
-    return sum(int(word) << (64 * w) for w, word in enumerate(mask))
-
-
 def mask_positions(mask: np.ndarray) -> tuple[int, ...]:
     """Sorted positions of the set bits of one (words,) mask."""
-    bits = mask_bits(mask)
+    bits = sum(int(word) << (64 * w) for w, word in enumerate(mask))
     return tuple(p for p in range(bits.bit_length()) if bits >> p & 1)
 
 

@@ -65,8 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jsonout import dumps
-from ._kernels import (intersection_sizes, mask_positions, membership_matrix, rows_meeting_threshold,
-                       suffix_table)
+from ._kernels import intersection_sizes, mask_positions, membership_matrix, rows_meeting_threshold, suffix_table
 from .params import ParamError, crusader_fault_bound, overload_quota
 
 DEFAULT_CHECK_BUDGET = 10_000_000
