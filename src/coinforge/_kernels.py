@@ -18,14 +18,15 @@ ORed onto a tail slice of the table, and |B ∩ row| = |prefix ∩ row| +
 |tail ∩ row|. The scan takes the second term for every row and table entry
 once (`intersection_sizes`); per prefix it is left with one threshold
 compare per (row, tail) pair (`rows_meeting_threshold`).
+
+numpy loads at the first kernel call, not at import, so a command that runs
+no exhaustive scan never loads it; later calls find it in `sys.modules`.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
 
 
 def words_for(width: int) -> int:
@@ -35,6 +36,8 @@ def words_for(width: int) -> int:
 
 def membership_matrix(row_bits, width: int) -> np.ndarray:
     """(len(row_bits), words) uint64 masks from per-row Python int masks over [0, width)."""
+    import numpy as np
+
     words = words_for(width)
     data = b"".join(bits.to_bytes(8 * words, "little") for bits in row_bits)
     return np.frombuffer(data, dtype="<u8").astype(np.uint64).reshape(len(row_bits), words)
@@ -53,6 +56,8 @@ def suffix_table(width: int, k: int) -> np.ndarray:
     Built from the (k-1)-table: the subsets with minimum f are bit f ORed onto
     the tail of the (k-1)-table whose minimum exceeds f. Read-only, cached.
     """
+    import numpy as np
+
     if k == 0:
         table = np.zeros((1, words_for(width)), dtype=np.uint64)
     else:
@@ -75,6 +80,8 @@ def intersection_sizes(member: np.ndarray, b_sets: np.ndarray, block_words: int)
     go in blocks, so that no uint64 temporary holds more than block_words
     words (or m, if that is more).
     """
+    import numpy as np
+
     rows, words = member.shape
     out = np.empty((rows, len(b_sets)), dtype=np.uint8)
     step = max(1, block_words // max(1, len(b_sets)))
@@ -93,4 +100,6 @@ def rows_meeting_threshold(needs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     as the transpose of a slice of `intersection_sizes`. Counts are summed in
     the narrowest unsigned type that holds the row count.
     """
+    import numpy as np
+
     return (sizes >= needs).sum(axis=1, dtype=np.min_scalar_type(len(needs)))

@@ -10,12 +10,9 @@ floating-point rounding can mis-flag a boundary case).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 from .params import DerivedParams, ParamError
 from .simnet import TrialReport, mix64, run_simulation
@@ -66,6 +63,8 @@ def verify_anticoncentration(n_max: int) -> AntiConcentrationResult:
 
 def wilson_interval(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float, float]:
     """(low, high, half_width) of the Wilson score interval."""
+    from statistics import NormalDist  # only estimate-fairness needs it; kept off the import path
+
     if trials <= 0:
         raise ParamError(f"trials must be positive, got {trials}")
     if not (0.0 < confidence < 1.0):
@@ -141,6 +140,9 @@ class FairnessEstimate:
         return "\n".join(f"{k:<{width}}  {v}" for k, v in rows) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf)
         w.writerow(["trial", "seed", "agreed", "bit", "latency", "bits_msgs", "tagged_msgs", "opaque_msgs"])

@@ -62,8 +62,6 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._jsonout import dumps
 from ._kernels import intersection_sizes, mask_positions, membership_matrix, rows_meeting_threshold, suffix_table
 from .params import ParamError, crusader_fault_bound, overload_quota
@@ -183,6 +181,8 @@ def _scan(rows, universe, size: int, quota: int, cap: int):
     rows * min(C(len(universe), size), (rank // _CHUNK + 1) * _CHUNK) when
     the witness has lex rank `rank`.
     """
+    import numpy as np  # loaded at the first scan, so commands that run none never load it
+
     width = len(universe)
     total = math.comb(width, size)
     bit = {p: 1 << i for i, p in enumerate(universe)}  # the verifiers refuse ids outside the universe

@@ -404,7 +404,14 @@ class Simulation:
             ci = CoinInstance(spec, g, b)
             idx = len(self.coin_instances)
             self.coin_instances.append(ci)
-            offsets = strategy.coin_offsets(spec, self.view) or {}
+            offsets = strategy.coin_offsets(spec, self.view)
+            if offsets is None:
+                offsets = {}
+            elif not isinstance(offsets, dict):
+                raise StrategyViolation(f"coin offsets are None or a member -> offset dict, not {offsets!r}")
+            for member in offsets:
+                if type(member) is not int or member not in spec.members:
+                    raise StrategyViolation(f"party {member!r} is not a member of that coin instance")
             for member in spec.members:
                 off = _time("coin output offset", offsets.get(member, spec.R))
                 if not (0.0 < off <= spec.R):
@@ -541,6 +548,8 @@ class Simulation:
             member = act.party
             if type(member) is not int or member not in ci.spec.members:
                 raise StrategyViolation(f"party {member!r} is not a member of that coin instance")
+            if member in ci.output_times:
+                raise StrategyViolation("coin output already delivered")
             if act.bit is not None:
                 if type(act.bit) is not int or act.bit not in (0, 1):
                     raise StrategyViolation(f"coin bit {act.bit!r} is not 0 or 1")
@@ -554,8 +563,6 @@ class Simulation:
                     raise StrategyViolation("coin output time outside (0, R]")
                 if t < self.now:
                     raise StrategyViolation("cannot schedule into the past")
-                if member in ci.output_times:
-                    raise StrategyViolation("coin output already delivered")
                 ci.offsets[member] = t
                 self._push(t, (act.instance, member))
         else:

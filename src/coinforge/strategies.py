@@ -8,17 +8,18 @@ A strategy sees the run only through an AdversaryView, one channel per decision:
   * delay_for(env) is consulted once per cross-party send and returns the
     delivery delay in (0, 1]; None means the 1-unit deadline. This is sugar
     for an immediate "delay" action and keeps the common path cheap.
-  * coin_offsets(spec, view) times an instance's coin outputs at activation.
+  * coin_offsets(spec, view) times an instance's coin outputs at activation:
+    it returns None (every member at R) or a member -> offset dict.
   * next_action(view) is polled after every delivery or coin output (a stale
     queue entry polls no one) while it returns actions
     (corrupt / drop / delay / inject / coin_set); None means "nothing now".
     delay(eid, view.now) delivers at once; coin_set(..., bit=b) alone picks
-    an unfair coin member's output (0 otherwise). Only strategies with
-    `reactive` true are polled; one with nothing left to do sets
-    `reactive = False`, which the run loop re-reads after each adversary
-    phase, never polling it again. A strategy that decides everything at its
-    first poll subclasses PlannedStrategy: plan(view) lists the actions,
-    handed out in order before the flag turns off.
+    an unfair coin member's output (0 otherwise) before it is delivered.
+    Only strategies with `reactive` true are polled; one with nothing left
+    to do sets `reactive = False`, which the run loop re-reads after each
+    adversary phase, never polling it again. A strategy that decides
+    everything at its first poll subclasses PlannedStrategy: plan(view) lists
+    the actions, handed out in order before the flag turns off.
 
 The view is detached once run() returns, and a trial runs with the cyclic
 collector paused, so a strategy should build no reference cycles it expects

@@ -357,6 +357,18 @@ VIOLATIONS = {
                           "time nan is not a finite number"),
     "coin-offset-nan": (CoinPingProtocol, 0, lambda: Script(offsets={0: math.nan}),
                         "offset nan is not a finite number"),
+    # a coin_offsets answer is None or a dict keyed by members of the instance
+    "coin-offsets-a-list": (CoinPingProtocol, 0, lambda: Script(offsets=[0.5]), "None or a member -> offset dict"),
+    "coin-offsets-a-number": (CoinPingProtocol, 0, lambda: Script(offsets=0.5), "None or a member -> offset dict"),
+    "coin-offsets-non-member": (CoinPingProtocol, 0, lambda: Script(offsets={3: 0.5}), "party 3 is not a member"),
+    "coin-offsets-no-such-party": (lambda: boundary_protocol("transform"), 0, lambda: Script(offsets={99: 0.5}),
+                                   "party 99 is not a member"),
+    "coin-offsets-tuple-key": (lambda: boundary_protocol("transform"), 0, lambda: Script(offsets={(0,): 0.5}),
+                               r"party \(0,\) is not a member"),
+    "coin-set-bit-after-output": (lambda: CoinPingProtocol(delta=0.0), 0,  # unfair; member 0 outputs at 0.25
+                                  lambda: Script(once(lambda v: v.now >= 0.25, A.coin_set(0, 0, None, bit=1)),
+                                                 offsets={0: 0.25}),
+                                  "already delivered"),
     "coin-set-into-past": (CoinPingProtocol, 0,  # members 0 and 1 output at 0.75
                            lambda: Script(once(lambda v: v.now >= 0.75, A.coin_set(0, 2, 0.5)),
                                           offsets={0: 0.75, 1: 0.75}),
