@@ -90,11 +90,20 @@ def run_trials(protocol, make_strategy, seed: int, trials: int, *, mode: str = "
     trial 0 is recorded. Every command and estimate runs its trials here.
     `run_simulation` is looked up in this module at each trial, so a wrapper
     set on `analysis.run_simulation` sees every trial.
+
+    When the coins can draw at most `trials` distinct (g, b*) vectors (2 per
+    coin at delta >= 1, else 4, multiplied over the coins), the trials share
+    one `replay` dict, so a vector whose run drew no other randomness is
+    simulated once and its report served again with the later seeds
+    (`simnet.run_simulation`); the dict holds at most min(that count, trials)
+    reports and lives as long as the iterator. Above `trials` no dict is kept.
     """
     if trials < 0:
         raise ParamError(f"trials must be non-negative, got {trials}")
+    space = math.prod(2 if spec.delta >= 1 else 4 for spec in getattr(protocol, "coin_specs", ()))
+    replay = {} if space <= trials else None
     return (run_simulation(protocol, make_strategy(), mix64(seed, 1000 + i), mode=mode,
-                           t_budget=t_budget, log=log if i == 0 else None)
+                           t_budget=t_budget, log=log if i == 0 else None, replay=replay)
             for i in range(trials))
 
 

@@ -40,6 +40,19 @@ pending while its id is in `_sched`, the one record of what may still be
 dropped or re-timed. A coin is fair until its corrupted members reach the
 instance's overload quota (`CoinSpec.bad_threshold`); the verdict is fixed
 at its first honest output, or at report time.
+
+Draws and replay. A trial draws its coins' (g, b*) by one rule,
+`coin_draws(protocol, seed)`: from `random.Random(mix64(seed, 0))`, per coin
+spec in order, g = random() < delta and then b* = getrandbits(1). Its two
+other streams, the protocol's setup stream (mix64(seed, 1)) and the
+strategy's stream (mix64(seed, 2)), build their Random at their first draw or
+read. A run that built neither drew no randomness besides its coins, so it is
+a function of the protocol, the strategy, mode, t_budget, step_budget and the
+draws, and another run with those inputs and the same draws takes the same
+path and draws nothing too. `run_simulation(..., replay=dict)` relies on
+that: it keeps the report of such a run under its draws and serves a later
+call with the same draws a copy carrying the later seed. A run that drew,
+a run that recorded a log and a run that raised are never served.
 """
 
 from __future__ import annotations
@@ -51,7 +64,7 @@ import json
 import math
 import random
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .params import ParamError, tag_bits
 
@@ -82,6 +95,8 @@ def mix64(seed: int, index: int) -> int:
 class RngStream:
     """A per-trial stream: `random.Random(seed)`, built at its first draw.
 
+    `seed` is an int, or a function that returns one, called at the first draw.
+
     Most trials never draw from most of their streams (a fifo multi-toss
     trial draws only coin bits), and seeding a Random costs about 10 us. The
     first lookup of a public name builds the Random and caches its bound
@@ -101,7 +116,8 @@ class RngStream:
             raise ParamError(f"this run draws no randomness, yet its rng was asked for {name}")
         rng = self.__dict__.get("_rng")
         if rng is None:
-            rng = self._rng = random.Random(self._seed)
+            seed = self._seed
+            rng = self._rng = random.Random(seed() if callable(seed) else seed)
         value = getattr(rng, name)
         if callable(value):  # a method; a data attribute such as gauss_next may change
             setattr(self, name, value)
@@ -338,8 +354,24 @@ def dump_event_log(log: list[dict]) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in log)
 
 
+def coin_draws(protocol, seed: int) -> tuple:
+    """Each of the protocol's coin specs' (g, b*), in spec order, for the trial at `seed`."""
+    specs = getattr(protocol, "coin_specs", ())
+    if not specs:
+        return ()
+    rng = random.Random(mix64(seed, 0))
+    draws = []
+    for spec in specs:
+        g = rng.random() < spec.delta
+        draws.append((g, rng.getrandbits(1)))
+    return tuple(draws)
+
+
 class Simulation:
-    """One deterministic trial. Drive with run(); inspect the TrialReport."""
+    """One deterministic trial. Drive with run(); inspect the TrialReport.
+
+    `draws` are the coins' (g, b*), `coin_draws(protocol, seed)` when not given.
+    """
 
     def __init__(
         self,
@@ -351,6 +383,7 @@ class Simulation:
         t_budget: int = 0,
         log: list | None = None,
         step_budget: int = DEFAULT_STEP_BUDGET,
+        draws: tuple | None = None,
     ):
         if mode not in ("secure", "full_info"):
             raise ParamError("mode must be 'secure' or 'full_info'")
@@ -363,7 +396,6 @@ class Simulation:
         self.step_budget = step_budget
 
         self.n = protocol.n
-        self.rng = RngStream(mix64(seed, 0))
         self.now = 0.0
         # the queue of instants: a heap of the distinct pending times, and each
         # time's events in scheduling order, an envelope id or a coin output's
@@ -389,18 +421,21 @@ class Simulation:
         # largest delay delivered per sender while it was honest
         self._sender_max_delay = [0.0] * self.n
 
-        self._trial_ctx = protocol.setup_trial(RngStream(mix64(seed, 1)))
+        self._setup_rng = RngStream(mix64(seed, 1))
+        self._strategy_rng = RngStream(mix64(seed, 2))
+        self._trial_ctx = protocol.setup_trial(self._setup_rng)
         self.parties = [protocol.make_party(i, self._trial_ctx) for i in range(self.n)]
         self.output_times: list[float | None] = [None] * self.n
 
-        # committee coin oracles draw (g, b*) at activation and schedule member
-        # outputs; a coin the parties run themselves is message traffic, and
-        # its protocol reports the ground truth (`benor_truth`) at report time
+        # committee coin oracles take their drawn (g, b*) at activation and
+        # schedule member outputs; a coin the parties run themselves is message
+        # traffic, and its protocol reports the ground truth (`benor_truth`) at
+        # report time
+        if draws is None:
+            draws = coin_draws(protocol, seed)
         self.coin_instances: list[CoinInstance] = []
-        strategy.bind(self.view, RngStream(mix64(seed, 2)))
-        for spec in getattr(protocol, "coin_specs", ()):
-            g = self.rng.random() < spec.delta
-            b = self.rng.getrandbits(1)
+        strategy.bind(self.view, self._strategy_rng)
+        for spec, (g, b) in zip(getattr(protocol, "coin_specs", ()), draws, strict=True):
             ci = CoinInstance(spec, g, b)
             idx = len(self.coin_instances)
             self.coin_instances.append(ci)
@@ -418,6 +453,11 @@ class Simulation:
                     raise StrategyViolation("coin output offset outside (0, R]")
                 ci.offsets[member] = off
                 self._push(off, (idx, member))
+
+    @property
+    def drew(self) -> bool:
+        """Whether the setup or strategy stream built its Random, so far: any draw or read does."""
+        return "_rng" in vars(self._setup_rng) or "_rng" in vars(self._strategy_rng)
 
     # -- scheduling primitives ------------------------------------------------
 
@@ -753,21 +793,36 @@ class Simulation:
         )
 
 
-def run_simulation(protocol, strategy, seed: int, log=None, **kw) -> TrialReport:
+def run_simulation(protocol, strategy, seed: int, log=None, replay=None, **kw) -> TrialReport:
     """Build one Simulation, run it to quiescence, return the report.
 
     Given a list as `log`, the run appends its event records there as they happen.
+
+    Given a dict as `replay`, shared by calls with the same protocol, strategy
+    spec and keywords, the trial's coin draws key it: a run that drew no
+    other randomness stores its report there, and a later call without a
+    `log` whose draws are stored gets that report with its own seed, unrun
+    (module docstring). A served report shares its lists and dicts with the
+    stored one, so reports are read-only.
 
     A finished trial holds no reference cycles and is freed by reference
     counting, so the cyclic collector is paused while it runs (its envelopes
     would otherwise set off young-generation scans of live objects) and the
     caller's collector state is restored on the way out, also on an error.
     """
+    draws = None
+    if replay is not None:
+        draws = coin_draws(protocol, seed)
+        hit = replay.get(draws) if log is None else None
+        if hit is not None:
+            return replace(hit, seed=seed)
     enabled = gc.isenabled()
     gc.disable()
     try:
-        sim = Simulation(protocol, strategy, seed, log=log, **kw)
+        sim = Simulation(protocol, strategy, seed, log=log, draws=draws, **kw)
         report = sim.run()
+        if replay is not None and not sim.drew:
+            replay[draws] = report
         del sim  # freed here, before the collector can run again
         return report
     finally:

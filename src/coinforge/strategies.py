@@ -4,7 +4,9 @@ A strategy sees the run only through an AdversaryView, one channel per decision:
 
   * bind(view, rng) runs before the first event: it takes the per-trial rng,
     a stream seeded on its first draw (`simnet.RngStream`), and may refuse
-    the run from view.n, view.mode or view.protocol.
+    the run from view.n, view.mode or view.protocol. A strategy draws its
+    randomness from this rng only: a run whose streams were never drawn from
+    is replayed from its coin draws (`simnet` module docstring).
   * delay_for(env) is consulted once per cross-party send and returns the
     delivery delay in (0, 1]; None means the 1-unit deadline. This is sugar
     for an immediate "delay" action and keeps the common path cheap.
@@ -51,6 +53,7 @@ Built-ins (all deterministic given their bound seed):
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .params import ParamError
@@ -262,7 +265,12 @@ class BenorBiaserStrategy(PlannedStrategy):
 
 
 class CombinedStrategy(Strategy):
-    """Compose strategies; later parts win delay_for, actions drain in order."""
+    """Compose strategies; later parts win delay_for, actions drain in order.
+
+    Each part gets its own stream. At the first draw by any part, every
+    part's seed is drawn from the combined strategy's rng, getrandbits(63) in
+    part order, so a combination whose parts never draw leaves its rng unbuilt.
+    """
 
     name = "combined"
 
@@ -275,8 +283,15 @@ class CombinedStrategy(Strategy):
 
     def bind(self, view, rng):
         super().bind(view, rng)
-        for p in self.parts:
-            p.bind(view, RngStream(rng.getrandbits(63)))
+        count, seeds = len(self.parts), []
+
+        def seed_of(i):  # holds the rng and the seeds, not the strategy, so no cycle
+            if not seeds:
+                seeds.extend(rng.getrandbits(63) for _ in range(count))
+            return seeds[i]
+
+        for i, p in enumerate(self.parts):
+            p.bind(view, RngStream(functools.partial(seed_of, i)))
         # a part that keeps the base delay_for always answers None and draws
         # nothing, so skipping it changes neither the winner nor any rng stream
         self._delayers = [p.delay_for for p in self.parts
@@ -302,7 +317,11 @@ class CombinedStrategy(Strategy):
     def coin_offsets(self, spec, view):
         merged = {}
         for p in self.parts:
-            merged.update(p.coin_offsets(spec, view) or {})
+            offsets = p.coin_offsets(spec, view)
+            if offsets is not None:
+                if not isinstance(offsets, dict):
+                    raise StrategyViolation(f"coin offsets are None or a member -> offset dict, not {offsets!r}")
+                merged.update(offsets)
         return merged or None
 
 

@@ -298,8 +298,9 @@ def transform_honest_runs():
     stats = {"trials": 0, "agreed": 0, "bit_ones": 0, "late": 0, "audit": 0,
              "msg_total_over": 0, "cp": cp, "dp": dp}
     total_cap = sum(message_caps(dp, cp.n).values())
+    replay = {}  # at most 2^5 coin-draw vectors: each is simulated once, every report read
     for i in range(10_000):
-        rep = run_simulation(proto, FifoStrategy(), seed=mix64(0x7AC7, i))
+        rep = run_simulation(proto, FifoStrategy(), seed=mix64(0x7AC7, i), replay=replay)
         stats["trials"] += 1
         if rep.agreed:
             stats["agreed"] += 1
@@ -355,10 +356,11 @@ def transform_adversarial_runs():
     cp, dp, layout, proto, target = _adversarial_setup()
     stats = {"trials": 0, "agreed": 0, "liveness": 0, "audit": 0, "bad_committees": set(),
              "cp": cp, "dp": dp}
+    replay = {}  # at most 2^9 coin-draw vectors: each is simulated once, every report read
     for i in range(10_000):
         strat = CombinedStrategy(CommitteeTargeterStrategy([target]),
                                  PublishDelayerStrategy(1.0))
-        rep = run_simulation(proto, strat, seed=mix64(0xADB, i), t_budget=cp.t)
+        rep = run_simulation(proto, strat, seed=mix64(0xADB, i), t_budget=cp.t, replay=replay)
         stats["trials"] += 1
         corrupted = {p for p, _ in rep.corruptions}
         assert len(corrupted) == cp.t  # the full budget is spent

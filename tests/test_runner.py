@@ -1,16 +1,18 @@
 """The one trial runner: its seed rule, trial-0 logging, and the output bytes of every trial command."""
 
 import hashlib
+import json
 
 import pytest
 
 from conftest import small_transform
-from coinforge import analysis
+from coinforge import analysis, simnet
 from coinforge.analysis import estimate_fairness, run_trials
 from coinforge.cli import main
+from coinforge.config import parse_strategy_spec
 from coinforge.params import ParamError
-from coinforge.simnet import dump_event_log, mix64, report_json, run_simulation
-from coinforge.strategies import RandomDelayStrategy
+from coinforge.simnet import coin_draws, dump_event_log, mix64, report_json, run_simulation
+from coinforge.strategies import FifoStrategy, RandomDelayStrategy, Strategy, build_strategy
 
 FLAGS = ("--n", "8", "--override-q", "5", "--override-s", "4", "--override-c", "4",
          "--override-d", "1", "--z", "0.3", "--epsilon", "0.0833", "--alpha", "0.3333")
@@ -140,6 +142,125 @@ def test_run_trials_rejects_negative_counts():
     with pytest.raises(ParamError):
         run_trials(protocol, RandomDelayStrategy, 0, -1)
     assert list(run_trials(protocol, RandomDelayStrategy, 0, 0)) == []
+
+
+# --- replay: each coin-draw vector is simulated once per call when the run draws nothing else ---
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The seeds of the Simulations built, in order."""
+    seeds = []
+
+    class Counting(simnet.Simulation):
+        def __init__(self, protocol, strategy, seed, **kw):
+            seeds.append(seed)
+            super().__init__(protocol, strategy, seed, **kw)
+
+    monkeypatch.setattr(simnet, "Simulation", Counting)
+    return seeds
+
+
+def _fresh(protocol, make_strategy, seed, t_budget=0):
+    """report_json of trial `seed` run on its own, outside any loop."""
+    return report_json(run_simulation(protocol, make_strategy(), seed, t_budget=t_budget))
+
+
+@pytest.mark.parametrize("spec,t_budget", [("fifo", 0), ("committee_targeter:0,2+publish_delayer:1.0", 4)])
+def test_replayed_trials_equal_fresh_runs_with_fewer_builds(spec, t_budget, builds):
+    protocol = small_transform()[-1]  # five coins at delta = 1: at most 2^5 draw vectors
+    make = lambda: build_strategy(parse_strategy_spec(spec))  # noqa: E731
+    trials = 80
+    got = [report_json(rep) for rep in run_trials(protocol, make, 3, trials, t_budget=t_budget)]
+    built = len(builds)
+    assert built == len({coin_draws(protocol, mix64(3, 1000 + i)) for i in range(trials)}) < trials
+    assert got == [_fresh(protocol, make, mix64(3, 1000 + i), t_budget) for i in range(trials)]
+
+
+class DrawsOnCoinZeroOne(Strategy):
+    """Draws delays from its rng, so a trial's path depends on its seed, only when coin 0's b* is 1."""
+
+    def bind(self, view, rng):
+        super().bind(view, rng)
+        self.view = view
+
+    def delay_for(self, env):
+        if self.view.coin_truth(0)[1]:
+            return self.rng.randrange(1, 257) / 256
+        return None
+
+
+def test_a_trial_that_drew_is_never_served(builds):
+    protocol = small_transform()[-1]
+    trials = 80
+    got = [report_json(rep) for rep in run_trials(protocol, DrawsOnCoinZeroOne, 4, trials)]
+    built = list(builds)
+    assert got == [_fresh(protocol, DrawsOnCoinZeroOne, mix64(4, 1000 + i)) for i in range(trials)]
+    draws = [coin_draws(protocol, mix64(4, 1000 + i)) for i in range(trials)]
+    assert 0 < sum(d[0][1] for d in draws) < trials
+    # every trial that drew was built, and each draw-free vector once
+    assert built == [mix64(4, 1000 + i) for i, d in enumerate(draws) if d[0][1] or d not in draws[:i]]
+    assert len(built) < trials
+
+
+def test_random_delay_builds_one_simulation_per_trial(builds):
+    list(run_trials(small_transform()[-1], RandomDelayStrategy, 5, 80))
+    assert builds == [mix64(5, 1000 + i) for i in range(80)]
+
+
+@pytest.mark.parametrize("delta,trials,replays", [(1.0, 31, False), (1.0, 32, True), (0.5, 1023, False),
+                                                  (0.5, 1024, True)])
+def test_replay_needs_a_draw_space_within_the_trial_count(delta, trials, replays, monkeypatch):
+    protocol = small_transform(delta=delta)[-1]  # five coins: 2^5 vectors at delta = 1, else 4^5
+    passed = []
+    inner = analysis.run_simulation
+
+    def spy(protocol, strategy, seed, **kw):
+        passed.append(kw["replay"])
+        return inner(protocol, strategy, seed, **kw)
+
+    monkeypatch.setattr(analysis, "run_simulation", spy)
+    next(run_trials(protocol, FifoStrategy, 1, trials))
+    assert (passed[0] is not None) is replays
+
+
+def test_a_logged_trial_is_simulated(builds):
+    protocol = small_transform()[-1]
+    log = []
+    reports = list(run_trials(protocol, FifoStrategy, 6, 40, log=log))
+    trial0 = []
+    fresh = run_simulation(protocol, FifoStrategy(), mix64(6, 1000), log=trial0)
+    assert builds[0] == mix64(6, 1000) and report_json(reports[0]) == report_json(fresh)
+    assert log and dump_event_log(log) == dump_event_log(trial0)
+    # also when its draws are stored already
+    replay, again = {}, []
+    run_simulation(protocol, FifoStrategy(), mix64(6, 1000), replay=replay)
+    built = len(builds)
+    run_simulation(protocol, FifoStrategy(), mix64(6, 1000), log=again, replay=replay)
+    assert len(builds) == built + 1 and dump_event_log(again) == dump_event_log(trial0)
+
+
+def test_run_coin_multitoss_bytes_equal_with_replay_suppressed(tmp_path, monkeypatch, builds):
+    # the 8-bit toss at n = q = s = 1: eight coins at delta = 1, so at most 256 draw vectors in 300 trials
+    monkeypatch.chdir(tmp_path)
+    flags = ["--n", "1", "--override-q", "1", "--override-s", "1", "--override-c", "1",
+             "--override-d", "1", "--z", "0.3", "--epsilon", "0.0833", "--alpha", "0.3333"]
+    assert main(["gen-committees", *flags, "--seed", "1", "--out", "layout.json"]) == 0
+    assert main(["gen-graphs", *flags, "--seed", "1", "--layout", "layout.json"]) == 0
+    doc = {"n": 1, "z": 0.3, "epsilon": 0.0833, "alpha": 0.3333, "overrides": {"q": 1, "s": 1, "c": 1, "d": 1},
+           "protocol": {"kind": "multivalued", "ell": 8}, "strategy": {"name": "fifo"},
+           "trials": 300, "seed": 0, "layout_path": "layout.json", "out": "runs.json"}
+    (tmp_path / "multitoss.json").write_text(json.dumps(doc))
+    argv = ["run-coin", "--config", "multitoss.json", "--seed", "7"]
+    assert main(argv) == 0
+    replayed = (tmp_path / "runs.json").read_bytes()
+    assert len(builds) < 300
+    inner = analysis.run_simulation
+    monkeypatch.setattr(analysis, "run_simulation", lambda *a, replay=None, **kw: inner(*a, **kw))
+    del builds[:]
+    assert main(argv) == 0
+    assert len(builds) == 300
+    assert (tmp_path / "runs.json").read_bytes() == replayed
 
 
 # --- bad trial counts and confidence levels are config errors ------------------------

@@ -31,7 +31,7 @@ from coinforge.simnet import (
     report_json,
     run_simulation,
 )
-from coinforge.strategies import FifoStrategy, RandomDelayStrategy, Strategy, build_strategy
+from coinforge.strategies import CombinedStrategy, FifoStrategy, RandomDelayStrategy, Strategy, build_strategy
 
 
 class PingProtocol:
@@ -361,6 +361,13 @@ VIOLATIONS = {
     "coin-offsets-a-list": (CoinPingProtocol, 0, lambda: Script(offsets=[0.5]), "None or a member -> offset dict"),
     "coin-offsets-a-number": (CoinPingProtocol, 0, lambda: Script(offsets=0.5), "None or a member -> offset dict"),
     "coin-offsets-non-member": (CoinPingProtocol, 0, lambda: Script(offsets={3: 0.5}), "party 3 is not a member"),
+    # and so is each part's answer inside a combination
+    "combined-coin-offsets-a-list": (CoinPingProtocol, 0,
+                                     lambda: CombinedStrategy(FifoStrategy(), Script(offsets=[0.5])),
+                                     "None or a member -> offset dict"),
+    "combined-coin-offsets-a-number": (CoinPingProtocol, 0,
+                                       lambda: CombinedStrategy(Script(offsets=0.5), FifoStrategy()),
+                                       "None or a member -> offset dict"),
     "coin-offsets-no-such-party": (lambda: boundary_protocol("transform"), 0, lambda: Script(offsets={99: 0.5}),
                                    "party 99 is not a member"),
     "coin-offsets-tuple-key": (lambda: boundary_protocol("transform"), 0, lambda: Script(offsets={(0,): 0.5}),
