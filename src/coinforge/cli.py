@@ -7,7 +7,7 @@ digest, seed and code version) and a human summary to stdout.
 
 Exit codes: 0 success, 2 protocol-property failure, 3 configuration error
 (including a committee or publish-graph point that a counting certificate
-proves infeasible).
+proves infeasible, and a file that cannot be read or written as UTF-8 text).
 """
 
 from __future__ import annotations
@@ -417,7 +417,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ParamError, InfeasibleLayoutError, InfeasibleGraphError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+            OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (GenerationError, StrategyViolation) as exc:

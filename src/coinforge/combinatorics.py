@@ -494,9 +494,11 @@ def layout_from_document(doc: dict) -> tuple[CommitteeLayout, list[PublishGraph]
     """Layout and graphs (sorted by committee_id) of a document, refused with
     ParamError unless well formed.
 
-    Well formed: integers n, q and s; q committees, each a sorted s-subset of
-    [0, n); at most one graph per committee id in [0, q), each with n sorted
-    adjacency rows of one common size that hold only members of that committee.
+    Well formed: integers n, q, s and seed, and a string verified; q
+    committees, each a sorted s-subset of [0, n); at most one graph per
+    committee id in [0, q), each with an integer seed, a string verified, and
+    n sorted adjacency rows of one common size that hold only members of that
+    committee. A bool is no integer here.
     """
     try:
         layout = CommitteeLayout(
@@ -525,13 +527,20 @@ def layout_from_document(doc: dict) -> tuple[CommitteeLayout, list[PublishGraph]
 
 
 def _sorted_ids(row) -> bool:
-    return all(isinstance(p, int) for p in row) and all(a < b for a, b in zip(row, row[1:]))
+    """Whether `row` holds increasing integer ids; a bool is no integer here."""
+    return all(type(p) is int for p in row) and all(a < b for a, b in zip(row, row[1:]))
+
+
+def _check_verified_and_seed(what, verified, seed) -> None:
+    if type(verified) is not str or type(seed) is not int:
+        raise ParamError(f"{what} needs a string verified and an integer seed, not {verified!r} and {seed!r}")
 
 
 def _check_layout(layout: CommitteeLayout, graphs: list[PublishGraph]) -> None:
     n, q, s = layout.n, layout.q, layout.s
     if not all(type(v) is int for v in (n, q, s)):
         raise ParamError(f"layout n, q and s must be integers, not {n!r}, {q!r}, {s!r}")
+    _check_verified_and_seed("layout", layout.verified, layout.seed)
     if len(layout.committees) != q:
         raise ParamError(f"layout lists {len(layout.committees)} committees, not q={q}")
     for j, row in enumerate(layout.committees):
@@ -540,9 +549,10 @@ def _check_layout(layout: CommitteeLayout, graphs: list[PublishGraph]) -> None:
     seen = set()
     for g in graphs:
         j = g.committee_id
-        if not isinstance(j, int) or not 0 <= j < q or j in seen:
+        if type(j) is not int or not 0 <= j < q or j in seen:
             raise ParamError(f"graph committee_id {j!r} is out of [0, {q}) or repeated")
         seen.add(j)
+        _check_verified_and_seed(f"graph {j}", g.verified, g.seed)
         if len(g.adjacency) != n:
             raise ParamError(f"graph {j} has {len(g.adjacency)} adjacency rows, not n={n}")
         members = set(layout.committees[j])

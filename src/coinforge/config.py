@@ -30,11 +30,14 @@ def config_digest(obj) -> str:
 
 
 def default_seed() -> int:
+    """The integer in COINFORGE_SEED, or 0 when it is unset or empty."""
     raw = os.environ.get(ENV_SEED, "")
+    if not raw:
+        return 0
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ParamError(f"{ENV_SEED} must be an integer, not {raw!r}") from None
 
 
 # the JSON values a config field of each annotation takes, and their name in
@@ -75,9 +78,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    def digest(self) -> str:
-        return config_digest(self.to_dict())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":

@@ -59,9 +59,9 @@ class CoinParams:
     R: float = 1.0
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if type(self.n) is not int or self.n < 1:  # a bool is no integer here
             raise ParamError("n must be a positive integer")
-        if not isinstance(self.t, int) or self.t < 0 or self.t > self.n:
+        if type(self.t) is not int or self.t < 0 or self.t > self.n:
             raise ParamError("t must be an integer in [0, n]")
         if self.z <= 0:
             raise ParamError("z must be positive")

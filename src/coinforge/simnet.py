@@ -95,25 +95,24 @@ def mix64(seed: int, index: int) -> int:
 class RngStream:
     """A per-trial stream: `random.Random(seed)`, built at its first draw.
 
-    `seed` is an int, or a function that returns one, called at the first draw.
+    `seed` is an int, or a function that returns one, called at the first
+    draw (`CombinedStrategy` seeds its parts so, from its own stream).
 
     Most trials never draw from most of their streams (a fifo multi-toss
     trial draws only coin bits), and seeding a Random costs about 10 us. The
     first lookup of a public name builds the Random and caches its bound
     method in the instance dict, so later draws cost what a Random's do and
     the stream holds no reference back to itself. Every stream yields the
-    numbers `random.Random(seed)` would. A stream without a seed refuses to
-    be drawn from, for a run that must draw no randomness.
+    numbers `random.Random(seed)` would. Whether a run drew at all is
+    `Simulation.drew`.
     """
 
-    def __init__(self, seed: int | None = None):
+    def __init__(self, seed):
         self._seed = seed
 
     def __getattr__(self, name):  # reached only for names not yet in the instance dict
         if name.startswith("_"):
             raise AttributeError(name)
-        if self._seed is None:
-            raise ParamError(f"this run draws no randomness, yet its rng was asked for {name}")
         rng = self.__dict__.get("_rng")
         if rng is None:
             seed = self._seed
@@ -159,24 +158,27 @@ def _check_id(what, x, count):
 
 
 class Envelope:
-    """One simulated network message."""
+    """One simulated network message, from `sender` to `recipient`, of wire
+    `kind` with `payload`, in instance `inst`.
 
-    __slots__ = (
-        "id", "sender", "recipient", "inst", "kind", "payload", "size_bits",
-        "sent_at", "delivered_at", "honest_at_send",
-    )
+    `id` is its index in `Simulation.envelopes`, `sent_at` its send time and
+    `delivered_at` its delivery time (None while pending, and for good once
+    dropped). Its size is not kept: an honest message's follows from its kind,
+    and an injected one's declared `size_bits` is checked and counted when it
+    is injected.
+    """
 
-    def __init__(self, eid, sender, recipient, inst, kind, payload, size_bits, sent_at, honest_at_send):
+    __slots__ = ("id", "sender", "recipient", "inst", "kind", "payload", "sent_at", "delivered_at")
+
+    def __init__(self, eid, sender, recipient, inst, kind, payload, sent_at):
         self.id = eid
         self.sender = sender
         self.recipient = recipient
         self.inst = inst
         self.kind = kind
         self.payload = payload
-        self.size_bits = size_bits
         self.sent_at = sent_at
         self.delivered_at = None
-        self.honest_at_send = honest_at_send
 
 
 @dataclass(frozen=True)
@@ -478,7 +480,7 @@ class Simulation:
         """
         if not msgs:
             return
-        kind_count, kind_size = self._kind_count, self._kind_size
+        kind_count = self._kind_count
         envelopes, sched, times, instants = self.envelopes, self._sched, self._times, self._instants
         append, delay_for, deadline = envelopes.append, self._delay_for, DEADLINE
         log = self.log
@@ -486,10 +488,9 @@ class Simulation:
         eid = len(envelopes)
         last_t = batch = None  # the instant of the previous envelope and its event list
         for recipients, inst, kind, payload in msgs:
-            size = kind_size[kind]
             kind_count[kind] += len(recipients)
             for r in recipients:
-                env = Envelope(eid, sender, r, inst, kind, payload, size, now, True)
+                env = Envelope(eid, sender, r, inst, kind, payload, now)
                 append(env)
                 if r == sender:
                     t = now  # self-delivery, zero delay
@@ -576,8 +577,7 @@ class Simulation:
             if t < self.now:
                 raise StrategyViolation("cannot schedule into the past")
             eid = len(self.envelopes)
-            self.envelopes.append(Envelope(eid, sender, recipient, inst, kind, payload, size,
-                                           self.now, False))
+            self.envelopes.append(Envelope(eid, sender, recipient, inst, kind, payload, self.now))
             self._byz_kind_count[kind] += 1
             self._byz_bucket[_bucket_of(kind, size)] += 1
             self._sched[eid] = t

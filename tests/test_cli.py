@@ -4,7 +4,7 @@ import json
 import pytest
 
 from coinforge.cli import main
-from coinforge.config import ExperimentConfig, parse_strategy_spec
+from coinforge.config import ExperimentConfig, config_digest, parse_strategy_spec
 from coinforge.params import ParamError
 from coinforge.strategies import CombinedStrategy, PublishDelayerStrategy, build_strategy, built_in_strategies
 
@@ -468,7 +468,7 @@ def test_config_roundtrip_and_digest(tmp_path):
     cfg = ExperimentConfig(n=8, trials=5, seed=3)
     doc = cfg.to_dict()
     again = ExperimentConfig.from_dict(doc)
-    assert again.digest() == cfg.digest()
+    assert config_digest(again.to_dict()) == config_digest(cfg.to_dict())
     with pytest.raises(ParamError, match="unknown config"):
         ExperimentConfig.from_dict({"banana": 1})
     with pytest.raises(ParamError, match="JSON object"):
@@ -710,3 +710,65 @@ def test_protocol_values_of_their_types_run(tmp_path, protocol):
     assert run_cli("run-coin", "--config", str(path), "--layout", layout, *_COIN_FLAGS, "--trials", "2",
                    "--out", str(out)) == 0
     assert json.loads(out.read_text())["config"]["protocol"] == protocol
+
+
+# --- unreadable paths, the seed variable, and the output format -------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--layout", "{dir}"), ("derive", "--config", "{dir}"), ("derive", "--out", "{dir}"),
+    ("derive", "--config", "{not_utf8}"),
+], ids=["verify-layout-directory", "derive-config-directory", "derive-out-directory", "derive-config-not-utf8"])
+def test_an_unreadable_or_unwritable_path_is_a_config_error(tmp_path, capsys, argv):
+    not_utf8 = tmp_path / "cfg.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    capsys.readouterr()
+    assert run_cli(*(arg.format(dir=tmp_path, not_utf8=not_utf8) for arg in argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", " "])
+def test_a_seed_variable_that_is_no_integer_is_a_config_error(tmp_path, monkeypatch, capsys, value):
+    monkeypatch.setenv("COINFORGE_SEED", value)
+    out = tmp_path / "derive.json"
+    assert run_cli("derive", "--out", str(out)) == 3
+    assert "config error: COINFORGE_SEED must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unset_or_empty_seed_variable_gives_seed_0(monkeypatch):
+    monkeypatch.setenv("COINFORGE_SEED", "")
+    assert ExperimentConfig().seed == 0
+    monkeypatch.delenv("COINFORGE_SEED")
+    assert ExperimentConfig().seed == 0
+
+
+def test_every_json_output_equals_the_stdlib_encoding(tmp_path):
+    """Each command that writes JSON, run once at a desk point: its --out text is what
+    json.dumps(doc, sort_keys=True, indent=2) + "\\n" gives for the document it holds."""
+    committees, layout = str(tmp_path / "committees.json"), str(tmp_path / "layout.json")
+    ell8 = tmp_path / "ell8-config.json"
+    ell8.write_text(json.dumps({"protocol": {"kind": "transform", "ell": 8}}))
+    commands = {
+        "committees": ("gen-committees", *_COIN_FLAGS, "--seed", "11"),
+        "layout": ("gen-graphs", "--layout", committees, *_COIN_FLAGS, "--seed", "12"),
+        "derive": ("derive", *_COIN_FLAGS),
+        "verify": ("verify", "--layout", layout, *_COIN_FLAGS),
+        "verify-witness": ("verify", "--layout", layout, *_COIN_FLAGS, "--override-c", "1"),
+        "run-coin": ("run-coin", "--layout", layout, *_COIN_FLAGS, "--trials", "3", "--strategy", "random_delay"),
+        "run-coin-ell8": ("run-coin", "--config", str(ell8), "--layout", layout, *_COIN_FLAGS, "--trials", "2"),
+        "run-crusader": ("run-crusader", "--s", "4", "--trials", "3", "--strategy", "random_delay"),
+        "run-publish": ("run-publish", "--layout", layout, "--split", "--trials", "3"),
+        "estimate-fairness": ("estimate-fairness", "--layout", layout, *_COIN_FLAGS, "--trials", "20"),
+        "verify-lemma4": ("verify-lemma4", "--n-max", "8"),
+        "cost-report": ("cost-report", "--n", "16"),
+        "cost-report-perfect": ("cost-report", "--variant", "perfect", "--n", "1000000", "--epsilon", "0.01"),
+        "leader": ("leader", "--layout", layout, "--ell", "4", *_COIN_FLAGS),
+    }
+    for name, argv in commands.items():
+        out = tmp_path / f"{name}.json"
+        assert run_cli(*argv, "--out", str(out)) in (0, 2), name
+        text = out.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+    assert json.loads((tmp_path / "verify-witness.json").read_text())["results"]["committees"]["witness"]

@@ -321,6 +321,15 @@ def _set(path, value):
     return edit
 
 
+def _as_bools(*path):
+    """An edit that writes each 0 or 1 in the id list at `path` as false or true."""
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[:] = [bool(p) if p in (0, 1) else p for p in doc]
+    return edit
+
+
 @pytest.mark.parametrize("what,edit", [
     ("member id n", lambda d: d["committees"][0].__setitem__(-1, 8)),
     ("negative member id", lambda d: d["committees"][0].__setitem__(0, -1)),
@@ -342,6 +351,15 @@ def _set(path, value):
     ("n a string", _set(("n",), "8")),
     ("adjacency not a list", _set(("graphs", 0, "adjacency"), 7)),
     ("graph not a mapping", _set(("graphs", 0), 7)),
+    # a bool is no integer here, though Python counts it as one
+    ("bool member ids", _as_bools("committees", 3)),
+    ("bool adjacency ids", _as_bools("graphs", 3, "adjacency", 0)),
+    ("graph id a bool", _set(("graphs", 0, "committee_id"), False)),
+    ("seed a string", _set(("seed",), "11")),
+    ("seed a bool", _set(("seed",), True)),
+    ("verified not a string", _set(("verified",), 1)),
+    ("graph seed a float", _set(("graphs", 0, "seed"), 0.5)),
+    ("graph verified null", _set(("graphs", 0, "verified"), None)),
 ])
 def test_layout_documents_are_validated(what, edit):
     doc = _layout_doc()

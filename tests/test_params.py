@@ -54,6 +54,8 @@ def test_z_third_branch():
         (dict(n=10, epsilon=-0.1), "epsilon must be positive"),
         (dict(n=10, delta=0.0), "delta must be in (0, 1]"),
         (dict(n=10, R=0.0), "R must be positive"),
+        (dict(n=True), "n must be a positive integer"),  # a bool is no integer here
+        (dict(n=10, t=True), "t must be an integer in [0, n]"),
     ],
 )
 def test_distinct_diagnostics(kwargs, fragment):

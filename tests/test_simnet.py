@@ -11,7 +11,6 @@ from byz import ScriptedByzantine
 from conftest import small_transform
 from coinforge import simnet
 from coinforge.config import parse_strategy_spec
-from coinforge.params import ParamError
 from coinforge.protocols import CrusaderProtocol
 from coinforge.simnet import (
     AdversaryAction,
@@ -131,12 +130,11 @@ def test_eventual_delivery_and_causality():
     sim = Simulation(proto, RandomDelayStrategy(), seed=9)
     sim.run()
     for env in sim.envelopes:  # no one is corrupted, so every envelope is honest and delivered
-        assert env.honest_at_send and env.delivered_at is not None
+        assert env.delivered_at is not None
         if env.recipient == env.sender:
             assert env.delivered_at == env.sent_at  # self-delivery is instant
         else:
             assert env.delivered_at > env.sent_at
-        assert env.size_bits >= 1
 
 
 def test_determinism_byte_for_byte():
@@ -650,10 +648,3 @@ def test_a_stream_never_drawn_from_builds_no_random(monkeypatch):
     # only the coin stream: the protocol's setup_trial and fifo draw nothing
     assert built == [mix64(seed, 0)] and rep.agreed
 
-
-def test_an_unseeded_stream_refuses_every_draw():
-    stream = RngStream()
-    for draw in (lambda r: r.random(), lambda r: r.getrandbits(1), lambda r: r.randrange(0, 2)):
-        with pytest.raises(ParamError, match="draws no randomness"):
-            draw(stream)
-    assert getattr(stream, "_rng", None) is None
